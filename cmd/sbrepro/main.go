@@ -6,40 +6,38 @@
 //
 // Usage:
 //
-//	sbrepro -bundle finding.json [-quiet]
-//	sbrepro [-workers 0] [-quiet] finding1.json finding2.json ...
+//	sbrepro -bundle issue-02.sbrb [-quiet]
+//	sbrepro [-workers 0] [-quiet] issue-02.sbrb issue-11.sbrb ...
 //	sbrepro -state dir [-report <digest>] [-quiet]
 //	sbrepro -state dir -min <digest> [-quiet]
 //
-// With -state, sbrepro replays straight out of the content-addressed
-// artifact store written by snowboard -state: -report names a stored report
-// artifact by (a prefix of) its hex digest, and every crash-level finding
-// in it that recorded a replayable trial is replayed. -min names a
-// minimized SBRB repro bundle produced by the triage stage; the replay
-// recomputes the crash signature and checks it against the one recorded in
-// the bundle, printing `signature: <key>` on success. With -state and an
-// empty -report (or -min), the matching stored artifacts are listed.
+// Every bundle is a minimized SBRB repro bundle produced by the triage
+// stage: -bundle and positional arguments read bundle files (as exported
+// by snowboard -repro-dir), and -min names one in the content-addressed
+// artifact store written by snowboard -state, by (a prefix of) its hex
+// digest. Each replay recomputes the crash signature and checks it against
+// the one recorded in the bundle, printing `signature: <key>`. With -state,
+// -report instead names a stored report artifact, and every crash-level
+// finding in it that recorded a replayable trial is replayed. With -state
+// and an empty -report (or -min), the matching stored artifacts are
+// listed.
 //
-// Several bundles replay in parallel (one simulated kernel per worker)
-// but print in argument order; replay itself is deterministic, so the
-// output is byte-identical at any worker count.
+// Several bundle files replay in parallel (one simulated kernel per
+// worker) but print in argument order; replay itself is deterministic, so
+// the output is byte-identical at any worker count.
 //
 // Exit status:
 //
-//	0  every replay reproduced a harmful finding (and, for -min, the
-//	   recorded signature)
-//	1  a replay ran but surfaced no harmful finding, or a -min replay's
-//	   signature diverged from the recorded one — the bundle is stale
-//	   relative to the current simulator, not damaged
+//	0  every replay reproduced its recorded signature (for -report: a
+//	   harmful finding)
+//	1  a replay ran but its signature diverged from the recorded one, or
+//	   it surfaced no harmful finding — the bundle is stale relative to
+//	   the current simulator, not damaged
 //	2  usage errors: bad flags, missing files, no or ambiguous digest match
 //	3  stale bundle: the artifact was written under a different bundle
 //	   format version and must be regenerated (it was never replayed)
 //	4  corrupt bundle: the artifact cannot be decoded at all — truncated,
 //	   checksum-violating, or not a bundle
-//
-// Bundles are produced by cmd/snowboard's -repro-dir flag, by the triage
-// stage of a -state campaign, or by callers of the library's Explore +
-// SaveBundle.
 package main
 
 import (
@@ -76,9 +74,9 @@ const (
 // error (2).
 func classifyExit(err error) int {
 	switch {
-	case errors.Is(err, sched.ErrBundleStale), errors.Is(err, triage.ErrStale):
+	case errors.Is(err, triage.ErrStale):
 		return exitStaleBundle
-	case errors.Is(err, sched.ErrBundleCorrupt), errors.Is(err, triage.ErrCorrupt), errors.Is(err, store.ErrCorrupt):
+	case errors.Is(err, triage.ErrCorrupt), errors.Is(err, store.ErrCorrupt):
 		return exitCorruptBundle
 	default:
 		return exitUsage
@@ -103,7 +101,7 @@ func fail(err error) {
 
 func main() {
 	var (
-		path     = flag.String("bundle", "", "path to a reproduction bundle (JSON); positional arguments add more")
+		path     = flag.String("bundle", "", "path to an SBRB repro bundle file (see snowboard -repro-dir); positional arguments add more")
 		workers  = flag.Int("workers", 0, "parallel replay goroutines (0 = one per CPU); output order is unaffected")
 		quiet    = flag.Bool("quiet", false, "suppress the interleaving diagram")
 		stateDir = flag.String("state", "", "artifact store directory: replay findings from a stored report instead of bundles")
@@ -147,13 +145,17 @@ func main() {
 
 	type replayOut struct {
 		text  string
-		stale bool
+		stale error
 		err   error
 	}
 	outs := par.Map(par.Workers(*workers), len(paths), func(_, i int) replayOut {
+		b, err := loadBundleFile(paths[i])
+		if err != nil {
+			return replayOut{err: err}
+		}
 		var sb strings.Builder
-		stale, err := replayBundle(&sb, paths[i], *quiet)
-		return replayOut{text: sb.String(), stale: stale, err: err}
+		stale := replaySBRB(&sb, paths[i], b, *quiet)
+		return replayOut{text: sb.String(), stale: stale}
 	})
 
 	exit := exitOK
@@ -165,8 +167,8 @@ func main() {
 			fail(fmt.Errorf("%s: %w", paths[i], out.err))
 		}
 		fmt.Print(out.text)
-		if out.stale {
-			obs.Diag.Printf("warning: replay of %s surfaced no harmful finding — bundle may be stale", paths[i])
+		if out.stale != nil {
+			fmt.Fprintf(os.Stderr, "sbrepro: %v\n", out.stale)
 			exit = exitStaleReplay
 		}
 	}
@@ -185,22 +187,15 @@ func minSet() bool {
 	return set
 }
 
-// replayBundle loads and replays one bundle, rendering the full report
-// into w. It returns stale=true when the replay surfaced no harmful
-// finding — the recorded interleaving no longer exposes the bug.
-func replayBundle(w *strings.Builder, path string, quiet bool) (stale bool, err error) {
-	b, err := sched.LoadBundle(path)
+// loadBundleFile reads and decodes one SBRB bundle file. A missing file
+// passes through as a usage error; triage.Decode classifies everything
+// else as stale or corrupt.
+func loadBundleFile(path string) (*triage.Bundle, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	fmt.Fprintf(w, "replaying %s (kernel %s", path, b.Version)
-	if b.BugID != 0 {
-		fmt.Fprintf(w, ", Table 2 issue #%d", b.BugID)
-	}
-	fmt.Fprintln(w, ")")
-	ct := sched.ConcurrentTest{Writer: b.Writer, Reader: b.Reader, Hint: b.Hint}
-	stale, _ = replayState(w, b.Version, ct, b.State, quiet)
-	return stale, nil
+	return triage.Decode(data)
 }
 
 // replayState re-executes one recorded bug-exposing trial and renders the
@@ -265,48 +260,67 @@ func replayMin(dir, digestPrefix string, quiet bool) int {
 		}
 		return exitOK
 	}
+	d, ok := matchDigest(bundles, digestPrefix, "repro bundle", dir, "run with empty -min to list")
+	if !ok {
+		return exitUsage
+	}
+	b, err := triage.LoadBundle(s, d)
+	if err != nil {
+		fail(fmt.Errorf("bundle %s: %w", d.Short(), err))
+	}
+
+	var sb strings.Builder
+	stale := replaySBRB(&sb, d.Short(), b, quiet)
+	fmt.Print(sb.String())
+	if stale != nil {
+		fmt.Fprintf(os.Stderr, "sbrepro: %v\n", stale)
+		return exitStaleReplay
+	}
+	return exitOK
+}
+
+// matchDigest resolves a digest prefix against the stored artifacts of one
+// kind; ok is false, after a usage message, unless exactly one matches.
+func matchDigest(ds []store.Digest, prefix, what, dir, hint string) (d store.Digest, ok bool) {
 	var match []store.Digest
-	for _, d := range bundles {
-		if strings.HasPrefix(d.String(), digestPrefix) {
-			match = append(match, d)
+	for _, c := range ds {
+		if strings.HasPrefix(c.String(), prefix) {
+			match = append(match, c)
 		}
 	}
 	switch {
 	case len(match) == 0:
-		fmt.Fprintf(os.Stderr, "sbrepro: no repro bundle matching %q in %s (run with empty -min to list)\n", digestPrefix, dir)
-		return exitUsage
+		fmt.Fprintf(os.Stderr, "sbrepro: no %s matching %q in %s (%s)\n", what, prefix, dir, hint)
+		return d, false
 	case len(match) > 1:
-		fmt.Fprintf(os.Stderr, "sbrepro: digest prefix %q is ambiguous: %d matches\n", digestPrefix, len(match))
-		return exitUsage
+		fmt.Fprintf(os.Stderr, "sbrepro: digest prefix %q is ambiguous: %d matches\n", prefix, len(match))
+		return d, false
 	}
-	b, err := triage.LoadBundle(s, match[0])
-	if err != nil {
-		fail(fmt.Errorf("bundle %s: %w", match[0].Short(), err))
-	}
+	return match[0], true
+}
 
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "replaying minimized bundle %s (kernel %s", match[0].Short(), b.Kernel)
+// replaySBRB replays one minimized SBRB bundle into w, recomputes the
+// crash signature from the replay and prints it. It returns an error when
+// the signature no longer matches the one recorded at triage time — the
+// bundle is stale relative to this simulator. Staleness is judged on the
+// signature alone, not on replayState's crash-centric heuristic: console
+// findings like fs-errors reproduce without a kernel crash.
+func replaySBRB(w *strings.Builder, name string, b *triage.Bundle, quiet bool) error {
+	fmt.Fprintf(w, "replaying minimized bundle %s (kernel %s", name, b.Kernel)
 	if b.BugID != 0 {
-		fmt.Fprintf(&sb, ", Table 2 issue #%d", b.BugID)
+		fmt.Fprintf(w, ", Table 2 issue #%d", b.BugID)
 	}
-	fmt.Fprintln(&sb, ")")
-	// Staleness for minimized bundles is judged on the recomputed crash
-	// signature, not on replayState's crash-centric heuristic: console
-	// findings like fs-errors reproduce without a kernel crash.
-	_, issues := replayState(&sb, b.Kernel, b.Test(), b.State, quiet)
-	fmt.Print(sb.String())
-
+	fmt.Fprintln(w, ")")
+	_, issues := replayState(w, b.Kernel, b.Test(), b.State, quiet)
 	sig, ok := triage.SignatureOfIssues(issues, b.Hint, b.BugID)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "sbrepro: replay of bundle %s surfaced no harmful finding — stale relative to this simulator\n", match[0].Short())
-		return exitStaleReplay
+		return fmt.Errorf("replay of bundle %s surfaced no harmful finding — stale relative to this simulator", name)
 	}
-	fmt.Printf("signature: %s\n", sig.Key())
+	fmt.Fprintf(w, "signature: %s\n", sig.Key())
 	if sig != b.Signature {
-		fmt.Fprintf(os.Stderr, "sbrepro: replay signature %q does not match recorded %q — bundle is stale\n", sig.Key(), b.Signature.Key())
-		return exitStaleReplay
+		return fmt.Errorf("replay signature %q does not match recorded %q — bundle %s is stale", sig.Key(), b.Signature.Key(), name)
 	}
-	return exitOK
+	return nil
 }
 
 // replayStore replays every crash-level finding of a stored report artifact
@@ -329,27 +343,17 @@ func replayStore(dir, digestPrefix string, workers int, quiet bool) int {
 		}
 		return exitOK
 	}
-	var match []snowboard.Digest
-	for _, d := range reports {
-		if strings.HasPrefix(d.String(), digestPrefix) {
-			match = append(match, d)
-		}
-	}
-	switch {
-	case len(match) == 0:
-		fmt.Fprintf(os.Stderr, "sbrepro: no report artifact matching %q in %s (run without -report to list)\n", digestPrefix, dir)
-		return exitUsage
-	case len(match) > 1:
-		fmt.Fprintf(os.Stderr, "sbrepro: digest prefix %q is ambiguous: %d matches\n", digestPrefix, len(match))
+	d, ok := matchDigest(reports, digestPrefix, "report artifact", dir, "run without -report to list")
+	if !ok {
 		return exitUsage
 	}
-	payload, err := st.Get(snowboard.KindReport, match[0])
+	payload, err := st.Get(snowboard.KindReport, d)
 	if err != nil {
-		fail(fmt.Errorf("report artifact %s: %w", match[0].Short(), err))
+		fail(fmt.Errorf("report artifact %s: %w", d.Short(), err))
 	}
 	var r snowboard.Report
 	if err := json.Unmarshal(payload, &r); err != nil {
-		fail(fmt.Errorf("report artifact %s: %w: %v", match[0].Short(), store.ErrCorrupt, err))
+		fail(fmt.Errorf("report artifact %s: %w: %v", d.Short(), store.ErrCorrupt, err))
 	}
 
 	var recIDs []int
@@ -361,7 +365,7 @@ func replayStore(dir, digestPrefix string, workers int, quiet bool) int {
 		recIDs = append(recIDs, id)
 	}
 	if len(recIDs) == 0 {
-		fmt.Printf("report %s: no replayable findings\n", match[0].Short())
+		fmt.Printf("report %s: no replayable findings\n", d.Short())
 		return exitStaleReplay
 	}
 
@@ -372,7 +376,7 @@ func replayStore(dir, digestPrefix string, workers int, quiet bool) int {
 	outs := par.Map(par.Workers(workers), len(recIDs), func(_, i int) replayOut {
 		rec := r.Issues[recIDs[i]]
 		var sb strings.Builder
-		fmt.Fprintf(&sb, "replaying report %s issue #%d (kernel %s)\n", match[0].Short(), recIDs[i], r.Version)
+		fmt.Fprintf(&sb, "replaying report %s issue #%d (kernel %s)\n", d.Short(), recIDs[i], r.Version)
 		stale, _ := replayState(&sb, r.Version, rec.Test, rec.Repro, quiet)
 		if t := rec.Triage; t != nil {
 			fmt.Fprintf(&sb, "minimized: signature %s, bundle %s (replay with -min)\n", t.Signature, t.Bundle)

@@ -2,16 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
-	"snowboard/internal/sched"
 	"snowboard/internal/store"
 	"snowboard/internal/triage"
 )
@@ -82,6 +83,54 @@ func TestSbreproListsStoredReports(t *testing.T) {
 	}
 }
 
+// TestSbreproReplaysExportedBundle: a bundle file exported by snowboard
+// -repro-dir replays through the same signature check as -min, and
+// reproduces the signature the campaign's report recorded.
+func TestSbreproReplaysExportedBundle(t *testing.T) {
+	pipeline := buildTool(t, "snowboard/cmd/snowboard")
+	repro := buildTool(t, "snowboard/cmd/sbrepro")
+	state, out := t.TempDir(), t.TempDir()
+
+	report, stderr, err := runTool(t, pipeline,
+		"-method", "S-CH-NULL", "-seed", "3", "-fuzz", "400", "-corpus", "100", "-tests", "60", "-trials", "24",
+		"-state", state, "-repro-dir", out, "-json", "-progress", "0")
+	if err != nil {
+		t.Fatalf("pipeline exit error: %v\nstderr:\n%s", err, stderr)
+	}
+	var r struct {
+		Issues map[string]struct {
+			Triage *struct {
+				Signature string `json:"signature"`
+			}
+		}
+	}
+	if err := json.Unmarshal([]byte(report), &r); err != nil {
+		t.Fatal(err)
+	}
+	replayed := 0
+	for id, rec := range r.Issues {
+		if rec.Triage == nil {
+			continue
+		}
+		n, err := strconv.Atoi(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(out, fmt.Sprintf("issue-%02d.sbrb", n))
+		stdout, stderr, err := runTool(t, repro, "-bundle", path, "-quiet")
+		if err != nil {
+			t.Fatalf("replay %s: %v\nstderr:\n%s", path, err, stderr)
+		}
+		if want := "signature: " + rec.Triage.Signature + "\n"; !strings.Contains(stdout, want) {
+			t.Fatalf("replay %s does not print %q:\n%s", path, want, stdout)
+		}
+		replayed++
+	}
+	if replayed == 0 {
+		t.Fatal("campaign triaged no findings; nothing was exported")
+	}
+}
+
 // TestClassifyExit pins the documented exit-code mapping: format-version
 // mismatches are stale (3), undecodable artifacts are corrupt (4), and
 // everything else — missing files, bad digests — is usage (2).
@@ -91,8 +140,6 @@ func TestClassifyExit(t *testing.T) {
 		err  error
 		want int
 	}{
-		{"sched stale", fmt.Errorf("load: %w", sched.ErrBundleStale), exitStaleBundle},
-		{"sched corrupt", fmt.Errorf("load: %w", sched.ErrBundleCorrupt), exitCorruptBundle},
 		{"triage stale", fmt.Errorf("bundle: %w", triage.ErrStale), exitStaleBundle},
 		{"triage corrupt", fmt.Errorf("bundle: %w", triage.ErrCorrupt), exitCorruptBundle},
 		{"store corrupt", fmt.Errorf("get: %w", store.ErrCorrupt), exitCorruptBundle},
@@ -106,7 +153,7 @@ func TestClassifyExit(t *testing.T) {
 	}
 }
 
-// writeFileBundle drops raw bytes where replayBundle will read them.
+// writeFileBundle drops raw bytes where loadBundleFile will read them.
 func writeFileBundle(t *testing.T, data string) string {
 	t.Helper()
 	p := filepath.Join(t.TempDir(), "bundle.json")
@@ -116,9 +163,10 @@ func writeFileBundle(t *testing.T, data string) string {
 	return p
 }
 
-// TestReplayBundleStaleVsCorrupt drives the file-bundle path through each
-// failure class and asserts the error classifies to the right exit code
-// with distinguishable errors.Is identities.
+// TestReplayBundleStaleVsCorrupt drives the file-bundle path (-bundle and
+// positional files, decoded as SBRB) through each failure class and
+// asserts the error classifies to the right exit code with
+// distinguishable errors.Is identities.
 func TestReplayBundleStaleVsCorrupt(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -126,14 +174,13 @@ func TestReplayBundleStaleVsCorrupt(t *testing.T) {
 		wantExit int
 		wantIs   error
 	}{
-		{"garbage", "not json", exitCorruptBundle, sched.ErrBundleCorrupt},
-		{"no format field", `{"version":"5.12-rc3"}`, exitStaleBundle, sched.ErrBundleStale},
-		{"future format", `{"format":99,"version":"5.12-rc3"}`, exitStaleBundle, sched.ErrBundleStale},
-		{"right format, invalid body", `{"format":1}`, exitCorruptBundle, sched.ErrBundleCorrupt},
+		{"garbage", "not json", exitCorruptBundle, triage.ErrCorrupt},
+		{"no format field", `{"version":"5.12-rc3"}`, exitStaleBundle, triage.ErrStale},
+		{"future format", `{"format":99,"version":"5.12-rc3"}`, exitStaleBundle, triage.ErrStale},
+		{"right format, invalid body", `{"format":1}`, exitCorruptBundle, triage.ErrCorrupt},
 	}
 	for _, tc := range cases {
-		var sb strings.Builder
-		_, err := replayBundle(&sb, writeFileBundle(t, tc.data), true)
+		_, err := loadBundleFile(writeFileBundle(t, tc.data))
 		if err == nil {
 			t.Fatalf("%s: no error", tc.name)
 		}
@@ -145,10 +192,28 @@ func TestReplayBundleStaleVsCorrupt(t *testing.T) {
 		}
 	}
 	// A missing file is a usage error, not a corrupt bundle.
-	var sb strings.Builder
-	_, err := replayBundle(&sb, filepath.Join(t.TempDir(), "nope.json"), true)
+	_, err := loadBundleFile(filepath.Join(t.TempDir(), "nope.json"))
 	if err == nil || classifyExit(err) != exitUsage {
 		t.Fatalf("missing file: err=%v exit=%d, want usage", err, classifyExit(err))
+	}
+}
+
+// TestSbreproOldJSONBundleIsCorrupt: a bundle file in the retired JSON
+// repro-bundle shape (format 1, no kernel and no crash signature), as
+// older snowboard -repro-dir runs wrote it, is rejected as corrupt (exit
+// 4) and never replayed.
+func TestSbreproOldJSONBundleIsCorrupt(t *testing.T) {
+	bin := buildTool(t, "snowboard/cmd/sbrepro")
+	stdout, stderr, err := runTool(t, bin, "-bundle", filepath.Join("testdata", "old-json-bundle.json"), "-quiet")
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != exitCorruptBundle {
+		t.Fatalf("old JSON bundle: err=%v, want exit %d\nstderr:\n%s", err, exitCorruptBundle, stderr)
+	}
+	if !strings.Contains(stderr, "corrupt bundle") {
+		t.Fatalf("stderr does not classify the bundle as corrupt:\n%s", stderr)
+	}
+	if stdout != "" {
+		t.Fatalf("a rejected bundle printed a replay:\n%s", stdout)
 	}
 }
 

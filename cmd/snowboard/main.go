@@ -9,6 +9,12 @@
 //	          [-seed 1] [-fuzz 400] [-corpus 120] [-tests 60] [-trials 16]
 //	          [-feedback] [-rounds 4] [-workers 0] [-json] [-http :8080]
 //	          [-progress 10s] [-trace spans.jsonl] [-events events.jsonl] [-v]
+//	          [-state dir [-repro-dir dir]]
+//
+// With -state, every stage persists into the artifact store rooted there
+// and a re-run resumes from the unchanged stages. -repro-dir also copies
+// each triaged finding's minimized SBRB repro bundle out of that store to
+// dir/issue-NN.sbrb, for sbrepro -bundle.
 //
 // With -mode compare (or the legacy -compare flag), every generation
 // method of the paper's Table 3 runs on the same profiled corpus and one
@@ -32,7 +38,6 @@ import (
 
 	"snowboard"
 	"snowboard/internal/obs"
-	"snowboard/internal/sched"
 )
 
 func main() {
@@ -56,10 +61,14 @@ func main() {
 		traceOut = flag.String("trace", "", "append JSONL span events to this file")
 		events   = flag.String("events", "", "append flight-recorder events to this file as JSONL")
 		verbose  = flag.Bool("v", false, "verbose per-issue output")
-		reproDir = flag.String("repro-dir", "", "write reproduction bundles for crash-level findings here")
+		reproDir = flag.String("repro-dir", "", "export each triaged finding's SBRB repro bundle here as issue-NN.sbrb (requires -state)")
 	)
 	flag.Parse()
 	diag := obs.Diag
+	if *reproDir != "" && *stateDir == "" {
+		fmt.Fprintln(os.Stderr, "snowboard: -repro-dir exports bundles from the artifact store and requires -state <dir>")
+		os.Exit(2)
+	}
 
 	opts := snowboard.DefaultOptions()
 	switch *version {
@@ -145,7 +154,10 @@ func main() {
 		printReport(report, *verbose)
 	}
 	if *reproDir != "" {
-		writeBundles(report, opts.Version, *reproDir)
+		if err := exportBundles(report, *stateDir, *reproDir); err != nil {
+			fmt.Fprintf(os.Stderr, "snowboard: -repro-dir: %v\n", err)
+			os.Exit(1)
+		}
 	}
 }
 
@@ -171,33 +183,37 @@ func printJSON(r *snowboard.Report) {
 	}
 }
 
-// writeBundles saves a reproduction bundle per crash-level finding that
-// recorded a replayable trial.
-func writeBundles(r *snowboard.Report, version snowboard.Version, dir string) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "snowboard: %v\n", err)
-		return
+// exportBundles copies each triaged finding's SBRB repro bundle — the
+// store object its IssueRecord.Triage.Bundle names — to dir/issue-NN.sbrb,
+// where sbrepro -bundle replays it.
+func exportBundles(r *snowboard.Report, stateDir, dir string) error {
+	st, err := snowboard.OpenStore(stateDir)
+	if err != nil {
+		return err
 	}
-	for id, rec := range r.Issues {
-		if rec.Repro == nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, id := range r.BugIDs() {
+		t := r.Issues[id].Triage
+		if t == nil {
 			continue
 		}
-		b := &sched.ReproBundle{
-			Version: version,
-			Writer:  rec.Test.Writer,
-			Reader:  rec.Test.Reader,
-			Hint:    rec.Test.Hint,
-			State:   rec.Repro,
-			Finding: rec.Issue.Desc,
-			BugID:   id,
+		d, err := snowboard.ParseDigest(t.Bundle)
+		if err != nil {
+			return fmt.Errorf("bundle for #%d: %w", id, err)
 		}
-		path := filepath.Join(dir, fmt.Sprintf("issue-%02d.json", id))
-		if err := sched.SaveBundle(path, b); err != nil {
-			fmt.Fprintf(os.Stderr, "snowboard: bundle for #%d: %v\n", id, err)
-			continue
+		data, err := st.Get(snowboard.KindRepro, d)
+		if err != nil {
+			return fmt.Errorf("bundle for #%d: %w", id, err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("issue-%02d.sbrb", id))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return err
 		}
 		obs.Diag.Printf("repro bundle written: %s (replay with: sbrepro -bundle %s)", path, path)
 	}
+	return nil
 }
 
 func printReport(r *snowboard.Report, verbose bool) {

@@ -51,6 +51,21 @@ func TestSnowboardUsage(t *testing.T) {
 	}
 }
 
+// TestReproDirRequiresState: -repro-dir exports bundles out of the
+// artifact store, so without -state it is a usage error (exit 2) that
+// runs nothing.
+func TestReproDirRequiresState(t *testing.T) {
+	bin := buildTool(t, "snowboard/cmd/snowboard")
+	stdout, stderr, err := runTool(t, bin, "-repro-dir", t.TempDir(), "-progress", "0")
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("-repro-dir without -state: err=%v, want exit 2", err)
+	}
+	if !strings.Contains(stderr, "requires -state") || stdout != "" {
+		t.Fatalf("want a usage message on stderr only; stdout:\n%s\nstderr:\n%s", stdout, stderr)
+	}
+}
+
 // TestSnowboardJSONReport is the end-to-end smoke: a tiny full pipeline
 // run must exit 0 and print exactly one machine-parseable JSON report on
 // stdout (all chatter belongs on stderr).

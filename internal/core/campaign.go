@@ -9,11 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"snowboard/internal/detect"
 	"snowboard/internal/kernel"
 	"snowboard/internal/obs"
 	"snowboard/internal/queue"
-	"snowboard/internal/sched"
 	"snowboard/internal/store"
 )
 
@@ -253,6 +251,12 @@ type Campaign struct {
 	executed  atomic.Int64 // jobs this campaign's executor settled
 	exercised atomic.Int64
 	dead      atomic.Int64
+	execStart atomic.Int64 // stage-4 start, unix ns (0 = not started)
+	execEnd   atomic.Int64 // stage-4 end, unix ns (0 = not finished)
+
+	// results are the job results the distributed fold consumed, in
+	// report order; written before done closes.
+	results []queue.JobResult
 
 	done chan struct{}
 }
@@ -410,7 +414,7 @@ func (c *Campaign) Status() CampaignStatus {
 		Executed:    c.executed.Load(),
 		Exercised:   c.exercised.Load(),
 		DeadLetters: c.dead.Load(),
-		ExecPerMin:  float64(c.scope.C("exec.tests").Value()),
+		ExecPerMin:  execPerMin(c.executed.Load(), c.execWall()),
 	}
 	if q := c.env.Registry.Get(c.QueueName()); q != nil {
 		st.QueueDepth = int64(q.Stats().Pending)
@@ -426,6 +430,42 @@ func (c *Campaign) Status() CampaignStatus {
 		}
 	}
 	return st
+}
+
+// execWall is the campaign's stage-4 wall time so far.
+func (c *Campaign) execWall() time.Duration {
+	start := c.execStart.Load()
+	if start == 0 {
+		return 0
+	}
+	end := c.execEnd.Load()
+	if end == 0 {
+		end = time.Now().UnixNano()
+	}
+	return time.Duration(end - start)
+}
+
+// execPerMin is stage-4 throughput: executed tests per minute of stage-4
+// wall time, 0 before stage 4 has run.
+func execPerMin(executed int64, wall time.Duration) float64 {
+	if executed <= 0 || wall <= 0 {
+		return 0
+	}
+	return float64(executed) / wall.Minutes()
+}
+
+// settleCounts sets the progress counters from a finished report, so a
+// campaign resumed from its report memo shows the counts of the run that
+// wrote it.
+func (c *Campaign) settleCounts(r *Report) {
+	expected, executed, exercised := r.TestedTests, r.TestedTests, r.Exercised
+	if d := r.Distributed; d != nil {
+		expected, executed, exercised = d.Expected, d.Reported, d.Exercised
+		c.dead.Store(int64(len(d.DeadJobs)))
+	}
+	c.expected.Store(int64(expected))
+	c.executed.Store(int64(executed))
+	c.exercised.Store(int64(exercised))
 }
 
 func (c *Campaign) setState(s string) {
@@ -522,8 +562,7 @@ func (c *Campaign) run() {
 		if r, ok := c.loadReport(st); ok {
 			// The whole campaign is memoized: resume instantly with the
 			// stored report, byte-for-byte what the uninterrupted run wrote.
-			c.expected.Store(int64(c.Spec.TestBudget))
-			c.executed.Store(int64(c.Spec.TestBudget))
+			c.settleCounts(r)
 			c.finish(r, nil)
 			return
 		}
@@ -546,7 +585,10 @@ func (c *Campaign) run() {
 		// cannot ship as a static job set. It runs locally (stage memos
 		// still checkpoint each round) and only stage-4 distribution is
 		// skipped.
+		c.execStart.Store(time.Now().UnixNano())
 		p.RunFeedback(r, opts.TestBudget)
+		c.execEnd.Store(time.Now().UnixNano())
+		c.settleCounts(r)
 		p.TriageReport(r)
 	} else if err := c.runDistributed(p, r, opts); err != nil {
 		c.finish(nil, err)
@@ -572,16 +614,8 @@ func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
 	if p.store != nil {
 		corpusDigest, _, _ = p.ArtifactDigests()
 	}
-	for i, ct := range cts {
-		job := queue.Job{ID: i, Hint: ct.Hint, Pair: ct.Pair, Trace: c.Trace}
-		if corpusDigest != "" {
-			job.Corpus = corpusDigest
-		} else {
-			job.Writer, job.Reader = ct.Writer, ct.Reader
-		}
-		if err := q.Push(job); err != nil {
-			return fmt.Errorf("campaign %s: push job %d: %w", c.ID, i, err)
-		}
+	if err := PushTests(q, cts, corpusDigest, c.Trace); err != nil {
+		return fmt.Errorf("campaign %s: %w", c.ID, err)
 	}
 	c.expected.Store(int64(len(cts)))
 
@@ -594,12 +628,15 @@ func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
 	if c.env.ExecGate != nil {
 		<-c.env.ExecGate
 	}
+	c.execStart.Store(time.Now().UnixNano())
 	c.executeLoop(p, q, lsr)
+	c.execEnd.Store(time.Now().UnixNano())
 
 	// Every job settled (acked or dead-lettered): fold results exactly
 	// once per job — redelivered duplicates are byte-identical (seeds
 	// derive from job IDs) and discarded — and surface dead letters.
-	sum := AggregateResults(len(cts), q.Results(), q.DeadLetters())
+	c.results = q.Results()
+	sum := AggregateResults(len(cts), c.results, q.DeadLetters())
 	r.Distributed = &sum
 	c.dead.Store(int64(len(sum.DeadJobs)))
 	if sum.Lost() {
@@ -608,57 +645,10 @@ func (c *Campaign) runDistributed(p *Pipeline, r *Report, opts Options) error {
 	return nil
 }
 
-// jobLeaser abstracts where the executor leases from: the registry
-// listener over TCP (the production path, chaos-injectable via env.Dial)
-// or the in-process queue when the env has no listener.
-type jobLeaser interface {
-	Lease() (queue.Lease, error)
-	Ack(id uint64) error
-	Nack(id uint64, reason string) error
-	Extend(id uint64, d time.Duration) (time.Time, error)
-	Report(res queue.JobResult) error
-	Close() error
-}
-
-type localLeaser struct{ q *queue.Queue }
-
-func (l localLeaser) Lease() (queue.Lease, error)         { return l.q.TryLease() }
-func (l localLeaser) Ack(id uint64) error                 { return l.q.Ack(id) }
-func (l localLeaser) Nack(id uint64, reason string) error { return l.q.Nack(id, reason) }
-func (l localLeaser) Extend(id uint64, d time.Duration) (time.Time, error) {
-	return l.q.Extend(id, d)
-}
-func (l localLeaser) Report(res queue.JobResult) error { return l.q.Report(res) }
-func (l localLeaser) Close() error                     { return nil }
-
-// keepLease extends a lease at half-TTL intervals until stopped, so
-// explorations longer than the queue's lease timeout are not reaped out
-// from under a live executor (mirrors sbexec).
-func keepLease(lsr jobLeaser, ls queue.Lease) (stop func()) {
-	ttl := time.Until(ls.Deadline)
-	if ttl < 20*time.Millisecond {
-		ttl = 20 * time.Millisecond
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(ttl / 2)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if _, err := lsr.Extend(ls.ID, 0); err != nil {
-					// Lease gone (expired or settled); the fold dedups.
-					return
-				}
-			}
-		}
-	}()
-	return func() { close(done) }
-}
-
-func (c *Campaign) dialLeaser(q *queue.Queue) (jobLeaser, error) {
+// dialLeaser connects the executor to the campaign's queue: over the
+// registry listener's TCP address (the production path, chaos-injectable
+// via env.Dial), or in-process when the env has no listener.
+func (c *Campaign) dialLeaser(q *queue.Queue) (JobLeaser, error) {
 	if c.env.Addr == "" {
 		return localLeaser{q: q}, nil
 	}
@@ -675,21 +665,19 @@ func (c *Campaign) dialLeaser(q *queue.Queue) (jobLeaser, error) {
 }
 
 // executeLoop drains the campaign's queue in fair-scheduler slices until
-// every job is settled. Exploration mirrors sbexec: per-job seeds derive
-// from the job ID alone, so redelivery — to this executor or a future
-// incarnation after a restart — reproduces byte-identical results.
-func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr jobLeaser) {
-	env := p.Env
-	x := &sched.Explorer{
-		Env:    env,
-		Trials: c.Spec.Trials,
-		Mode:   sched.ModeSnowboard,
-		Detect: detect.DefaultOptions(),
-		Fsck:   func() []string { return env.K.FsckHost() },
-		Trace:  c.Trace,
-	}
+// every job is settled. Per-job seeds derive from the job ID alone, so
+// redelivery — to this executor or a future incarnation after a restart —
+// reproduces byte-identical results.
+func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr JobLeaser) {
+	x := NewJobExplorer(p.Env, c.Spec.Trials)
 	mExec := c.scope.C("exec.tests")
 	mFaults := c.scope.C("exec.faults")
+	worker := "sbd/" + c.ID
+	resolve := func(job *queue.Job) error {
+		// By-reference job: the executor shares the pipeline's in-memory
+		// corpus, no store round-trip needed.
+		return job.Resolve(p.Corpus)
+	}
 	slice := c.env.slice()
 	for {
 		st := q.Stats()
@@ -709,7 +697,22 @@ func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr jobLeaser) {
 				obs.Diag.Printf("campaign %s: lease: %v", c.ID, err)
 				break
 			}
-			c.executeJob(p, x, lsr, ls, mExec, mFaults)
+			if c.env.Fault != nil && c.env.Fault(ls.Job.ID, ls.Attempt) {
+				// Simulated worker crash: walk away mid-lease. The reaper
+				// expires it and the job redelivers (or dead-letters) —
+				// never vanishes.
+				mFaults.Inc()
+				continue
+			}
+			res, err := ExecuteJob(lsr, x, ls, worker, resolve)
+			if err != nil {
+				continue
+			}
+			c.executed.Add(1)
+			if res.Exercised {
+				c.exercised.Add(1)
+			}
+			mExec.Inc()
 		}
 		if c.env.Turns != nil {
 			c.env.Turns.Release()
@@ -721,59 +724,4 @@ func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr jobLeaser) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-}
-
-func (c *Campaign) executeJob(p *Pipeline, x *sched.Explorer, lsr jobLeaser, ls queue.Lease, mExec, mFaults *obs.Counter) {
-	job := ls.Job
-	if c.env.Fault != nil && c.env.Fault(job.ID, ls.Attempt) {
-		// Simulated worker crash: walk away mid-lease. The reaper expires
-		// it and the job redelivers (or dead-letters) — never vanishes.
-		mFaults.Inc()
-		return
-	}
-	if !job.Inline() {
-		// By-reference job: the executor shares the pipeline's in-memory
-		// corpus, no store round-trip needed.
-		if err := job.Resolve(p.Corpus); err != nil {
-			if nerr := lsr.Nack(ls.ID, err.Error()); nerr != nil && !errors.Is(nerr, queue.ErrUnknownLease) {
-				obs.Diag.Printf("campaign %s: nack job %d: %v", c.ID, job.ID, nerr)
-			}
-			return
-		}
-	}
-	stopKeep := keepLease(lsr, ls)
-	x.Seed = int64(job.ID)*1009 + 1
-	out := x.Explore(sched.ConcurrentTest{
-		Writer: job.Writer, Reader: job.Reader, Hint: job.Hint, Pair: job.Pair,
-	})
-	stopKeep()
-	res := queue.JobResult{
-		JobID:     job.ID,
-		Trials:    out.Trials,
-		Exercised: out.Exercised,
-		Worker:    "sbd/" + c.ID,
-	}
-	for _, is := range out.Issues {
-		res.IssueIDs = append(res.IssueIDs, is.ID())
-		if is.BugID != 0 {
-			res.BugIDs = append(res.BugIDs, is.BugID)
-		}
-	}
-	if err := lsr.Report(res); err != nil {
-		obs.Diag.Printf("campaign %s: report job %d: %v — nacking", c.ID, job.ID, err)
-		if nerr := lsr.Nack(ls.ID, "report failed: "+err.Error()); nerr != nil && !errors.Is(nerr, queue.ErrUnknownLease) {
-			obs.Diag.Printf("campaign %s: nack job %d: %v", c.ID, job.ID, nerr)
-		}
-		return
-	}
-	if err := lsr.Ack(ls.ID); err != nil && !errors.Is(err, queue.ErrUnknownLease) {
-		// ErrUnknownLease is benign: the lease expired and the job was
-		// redelivered; the fold deduplicates by job ID.
-		obs.Diag.Printf("campaign %s: ack job %d: %v", c.ID, job.ID, err)
-	}
-	c.executed.Add(1)
-	if out.Exercised {
-		c.exercised.Add(1)
-	}
-	mExec.Inc()
 }

@@ -189,6 +189,9 @@ func TestCampaignReportMemoByteIdentical(t *testing.T) {
 	// without executing anything.
 	dir := t.TempDir()
 	spec := smallSpec("memo", 7)
+	// A test budget above what generation yields for this corpus (44
+	// tests), so the resumed status counts must come from the report.
+	spec.TestBudget = 50
 
 	run := func() ([]byte, *Campaign) {
 		reg := queue.NewRegistry(queue.Options{})
@@ -220,6 +223,18 @@ func TestCampaignReportMemoByteIdentical(t *testing.T) {
 	if c2.Status().QueueDepth != 0 {
 		t.Fatal("memoized resume touched the queue")
 	}
+	// Its job counts are the original run's, not the spec's test budget:
+	// generation can produce fewer tests than that.
+	var r2 Report
+	if err := json.Unmarshal(second, &r2); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []*Campaign{c1, c2} {
+		st := c.Status()
+		if want := int64(r2.Distributed.Expected); st.Executed != want || st.Expected != want {
+			t.Fatalf("run %d: status counts %d/%d jobs, want %d/%d", i+1, st.Executed, st.Expected, want, want)
+		}
+	}
 
 	// The manifest is persisted for restart enumeration.
 	specs, err := LoadCampaignSpecs(dir)
@@ -235,6 +250,26 @@ func TestCampaignReportMemoByteIdentical(t *testing.T) {
 	}
 	if gotID != c1.ID {
 		t.Fatalf("persisted manifest resolves to %s, want %s", gotID, c1.ID)
+	}
+}
+
+// TestExecPerMin pins the /campaigns throughput formula: executed tests
+// per minute of stage-4 wall time, and 0 before stage 4 has run.
+func TestExecPerMin(t *testing.T) {
+	cases := []struct {
+		executed int64
+		wall     time.Duration
+		want     float64
+	}{
+		{155, 30 * time.Second, 310},
+		{10, 2 * time.Minute, 5},
+		{0, time.Minute, 0},
+		{155, 0, 0},
+	}
+	for _, tc := range cases {
+		if got := execPerMin(tc.executed, tc.wall); got != tc.want {
+			t.Errorf("execPerMin(%d, %v) = %v, want %v", tc.executed, tc.wall, got, tc.want)
+		}
 	}
 }
 

@@ -7,41 +7,33 @@ import (
 	"testing"
 	"time"
 
-	"snowboard/internal/detect"
 	"snowboard/internal/queue"
 	"snowboard/internal/sched"
 )
 
-// runCampaign drains every queued test through a single worker whose seed
-// derives from the job ID (the sbexec contract). With crashFirst the worker
-// abandons its first lease without acking — the crashed-machine scenario —
-// and relies on the lease reaper to redeliver the job to the same loop.
+// runCampaign drains every queued test through the shared job executor
+// (ExecuteJob, the path every queue transport takes). With crashFirst the
+// worker abandons its first lease without acking — the crashed-machine
+// scenario — and relies on the lease reaper to redeliver the job to the
+// same loop.
 func runCampaign(t *testing.T, p *Pipeline, opts Options, tests []sched.ConcurrentTest, crashFirst bool) (DistSummary, queue.Stats) {
 	t.Helper()
 	q := queue.NewWithOptions(queue.Options{
 		Name:         "core-test",
-		LeaseTimeout: 50 * time.Millisecond,
+		LeaseTimeout: 200 * time.Millisecond,
 		MaxAttempts:  5,
 	})
 	defer q.Close()
-	for i, ct := range tests {
-		if err := q.Push(queue.Job{ID: i, Writer: ct.Writer, Reader: ct.Reader, Hint: ct.Hint, Pair: ct.Pair}); err != nil {
-			t.Fatal(err)
-		}
+	if err := PushTests(q, tests, "", ""); err != nil {
+		t.Fatal(err)
 	}
 
-	env := p.Env.Clone()
-	x := &sched.Explorer{
-		Env:       env,
-		Trials:    opts.Trials,
-		Mode:      sched.ModeSnowboard,
-		Detect:    detect.DefaultOptions(),
-		KnownPMCs: p.PMCs,
-	}
+	lsr := localLeaser{q: q}
+	x := NewJobExplorer(p.Env.Clone(), opts.Trials)
 	crashed := false
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		ls, err := q.TryLease()
+		ls, err := lsr.Lease()
 		if errors.Is(err, queue.ErrEmpty) {
 			st := q.Stats()
 			if st.Pending == 0 && st.Leased == 0 {
@@ -61,28 +53,10 @@ func runCampaign(t *testing.T, p *Pipeline, opts Options, tests []sched.Concurre
 			crashed = true
 			continue
 		}
-		// Long exploration vs. short demo lease: extend before exploring (the
-		// in-process analogue of sbexec's keepLease), so the only redelivery
-		// in this campaign is the deliberately abandoned lease above.
-		if _, err := q.Extend(ls.ID, 30*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		job := ls.Job
-		x.Seed = int64(job.ID)*1009 + 1
-		out := x.Explore(sched.ConcurrentTest{
-			Writer: job.Writer, Reader: job.Reader, Hint: job.Hint, Pair: job.Pair,
-		})
-		res := queue.JobResult{JobID: job.ID, Trials: out.Trials, Exercised: out.Exercised}
-		for _, is := range out.Issues {
-			res.IssueIDs = append(res.IssueIDs, is.ID())
-			if is.BugID != 0 {
-				res.BugIDs = append(res.BugIDs, is.BugID)
-			}
-		}
-		if err := q.Report(res); err != nil {
-			t.Fatal(err)
-		}
-		if err := q.Ack(ls.ID); err != nil && !errors.Is(err, queue.ErrUnknownLease) {
+		// ExecuteJob keeps the lease alive while it explores, so the only
+		// redelivery in this campaign is the deliberately abandoned lease
+		// above.
+		if _, err := ExecuteJob(lsr, x, ls, "core-test", nil); err != nil {
 			t.Fatal(err)
 		}
 	}

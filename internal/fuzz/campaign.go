@@ -51,27 +51,6 @@ const batchSize = 32
 // candidate's global index in the campaign — not a per-worker counter — so
 // results are bit-identical to CampaignSharded with a single env.
 func CampaignSharded(envs []*exec.Env, seed int64, budget, maxKeep int) CampaignResult {
-	return CampaignShardedFunc(envs, seed, budget, maxKeep, nil)
-}
-
-// RoundFunc observes one synchronization round of a sharded campaign:
-// round is the 0-based round index and admitted lists the programs the
-// round added to the corpus, in admission order. Because admission is
-// in-order, the concatenation of all admitted slices IS the final corpus —
-// which is what lets a streaming consumer (core.StreamCampaign) profile
-// and identify each round's programs while the next round fuzzes, and
-// still end up with the exact corpus a staged run builds.
-//
-// The callback runs on the coordinating goroutine between rounds; it must
-// not mutate the campaign's corpus.
-type RoundFunc func(round int, admitted []*corpus.Prog)
-
-// CampaignShardedFunc is CampaignSharded with a per-round observer
-// callback (nil behaves exactly like CampaignSharded). fn is invoked after
-// every round's selection fold — including the final, possibly truncated
-// round when the corpus cap fills mid-fold — so it sees every admitted
-// program exactly once.
-func CampaignShardedFunc(envs []*exec.Env, seed int64, budget, maxKeep int, fn RoundFunc) CampaignResult {
 	cov := cover.NewEdges()
 	out := CampaignResult{Corpus: corpus.NewCorpus()}
 	traces := make([]trace.Trace, len(envs))
@@ -81,7 +60,6 @@ func CampaignShardedFunc(envs []*exec.Env, seed int64, budget, maxKeep int, fn R
 		edges   *cover.Edges
 		crashed bool
 	}
-	round := 0
 	for out.Executed < budget {
 		n := budget - out.Executed
 		if n > batchSize {
@@ -115,7 +93,6 @@ func CampaignShardedFunc(envs []*exec.Env, seed int64, budget, maxKeep int, fn R
 			return unit{prog: p, edges: e}
 		})
 		full := false
-		var admitted []*corpus.Prog
 		for _, u := range units {
 			out.Executed++
 			mExecs.Inc()
@@ -131,9 +108,6 @@ func CampaignShardedFunc(envs []*exec.Env, seed int64, budget, maxKeep int, fn R
 					mCorpus.Set(int64(out.Corpus.Len()))
 					obs.Emit(obs.EvCoverNew, obs.A("edges", n),
 						obs.A("corpus", out.Corpus.Len()))
-					if fn != nil {
-						admitted = append(admitted, u.prog)
-					}
 				}
 			}
 			if maxKeep > 0 && out.Corpus.Len() >= maxKeep {
@@ -141,10 +115,6 @@ func CampaignShardedFunc(envs []*exec.Env, seed int64, budget, maxKeep int, fn R
 				break
 			}
 		}
-		if fn != nil {
-			fn(round, admitted)
-		}
-		round++
 		if full {
 			break
 		}

@@ -63,12 +63,12 @@ func TestTCPBadRequest(t *testing.T) {
 	}
 
 	// The connection stays usable: a valid request afterwards still works.
-	if _, err := conn.Write([]byte(`{"op":"pop"}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	resp = readResp(t, r)
 	if resp.OK || resp.Err != ErrEmpty.Error() {
-		t.Fatalf("pop after bad request = %+v, want err %q", resp, ErrEmpty)
+		t.Fatalf("lease after bad request = %+v, want err %q", resp, ErrEmpty)
 	}
 
 	// Unknown ops get their own explicit error.
@@ -81,6 +81,43 @@ func TestTCPBadRequest(t *testing.T) {
 	}
 }
 
+// TestPopOpIsUnknown: the retired v1 pop op gets the unknown-op reply,
+// dequeues nothing, and leaves the connection usable.
+func TestPopOpIsUnknown(t *testing.T) {
+	q := New()
+	srv, err := Serve(q, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := q.Push(testJob(1)); err != nil {
+		t.Fatal(err)
+	}
+	conn, r := rawDial(t, srv.Addr())
+	defer conn.Close()
+
+	frame, err := json.Marshal(wireReq{Op: "pop"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(append(frame, '\n')); err != nil {
+		t.Fatal(err)
+	}
+	resp := readResp(t, r)
+	if resp.OK || !strings.Contains(resp.Err, `unknown op "pop"`) {
+		t.Fatalf("pop response = %+v, want unknown op", resp)
+	}
+	if q.Len() != 1 {
+		t.Fatalf("pop dequeued a job: %d pending, want 1", q.Len())
+	}
+	if _, err := conn.Write([]byte(`{"op":"lease"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if resp := readResp(t, r); !resp.OK || resp.Lease == 0 {
+		t.Fatalf("lease after pop = %+v, want a granted lease", resp)
+	}
+}
+
 func TestTCPOpCounters(t *testing.T) {
 	q := New()
 	srv, err := Serve(q, "127.0.0.1:0")
@@ -90,7 +127,7 @@ func TestTCPOpCounters(t *testing.T) {
 	defer srv.Close()
 
 	pushBefore := obs.C(obs.MQueueNetPush).Value()
-	popBefore := obs.C(obs.MQueueNetPop).Value()
+	leaseBefore := obs.C(obs.MQueueNetLease).Value()
 	reportBefore := obs.C(obs.MQueueNetReport).Value()
 
 	c, err := Dial(srv.Addr())
@@ -102,7 +139,7 @@ func TestTCPOpCounters(t *testing.T) {
 	if err := c.Push(testJob(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Pop(); err != nil {
+	if _, err := c.Lease(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Report(JobResult{JobID: 1}); err != nil {
@@ -112,8 +149,8 @@ func TestTCPOpCounters(t *testing.T) {
 	if got := obs.C(obs.MQueueNetPush).Value(); got != pushBefore+1 {
 		t.Errorf("net push counter = %d, want %d", got, pushBefore+1)
 	}
-	if got := obs.C(obs.MQueueNetPop).Value(); got != popBefore+1 {
-		t.Errorf("net pop counter = %d, want %d", got, popBefore+1)
+	if got := obs.C(obs.MQueueNetLease).Value(); got != leaseBefore+1 {
+		t.Errorf("net lease counter = %d, want %d", got, leaseBefore+1)
 	}
 	if got := obs.C(obs.MQueueNetReport).Value(); got != reportBefore+1 {
 		t.Errorf("net report counter = %d, want %d", got, reportBefore+1)
@@ -143,14 +180,18 @@ func TestQueueDepthGaugePerQueue(t *testing.T) {
 	if got := agg.Value() - aggBefore; got != 4 {
 		t.Fatalf("aggregate depth delta = %d, want 4", got)
 	}
-	if _, err := a.Pop(); err != nil {
+	ls, err := a.TryLease()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Ack(ls.ID); err != nil {
 		t.Fatal(err)
 	}
 	if da.Value() != 2 || db.Value() != 1 {
-		t.Fatalf("per-queue depths after pop = %d,%d, want 2,1", da.Value(), db.Value())
+		t.Fatalf("per-queue depths after lease = %d,%d, want 2,1", da.Value(), db.Value())
 	}
 	if got := agg.Value() - aggBefore; got != 3 {
-		t.Fatalf("aggregate depth delta after pop = %d, want 3", got)
+		t.Fatalf("aggregate depth delta after lease = %d, want 3", got)
 	}
 	a.Close()
 	b.Close()
@@ -168,7 +209,7 @@ func TestServerClosePromptWithIdleClient(t *testing.T) {
 	conn, r := rawDial(t, srv.Addr())
 	defer conn.Close()
 	// One round-trip proves the handler is live before it goes idle.
-	if _, err := conn.Write([]byte(`{"op":"pop"}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	readResp(t, r)
@@ -215,12 +256,12 @@ func TestFrameTooLargeClamp(t *testing.T) {
 	}
 
 	// The connection stays in sync: a small valid request still works.
-	if _, err := conn.Write([]byte(`{"op":"pop"}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	resp = readResp(t, r)
 	if resp.OK || resp.Err != ErrEmpty.Error() {
-		t.Fatalf("pop after oversized frame = %+v, want err %q", resp, ErrEmpty)
+		t.Fatalf("lease after oversized frame = %+v, want err %q", resp, ErrEmpty)
 	}
 }
 
@@ -233,7 +274,7 @@ func TestUnsupportedProtocolVersion(t *testing.T) {
 	defer srv.Close()
 	conn, r := rawDial(t, srv.Addr())
 	defer conn.Close()
-	if _, err := conn.Write([]byte(`{"op":"pop","v":99}` + "\n")); err != nil {
+	if _, err := conn.Write([]byte(`{"op":"lease","v":99}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
 	resp := readResp(t, r)

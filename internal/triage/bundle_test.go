@@ -9,7 +9,7 @@ import (
 	"snowboard/internal/store"
 )
 
-func testBundle(t *testing.T) *Bundle {
+func testBundle(t testing.TB) *Bundle {
 	t.Helper()
 	env, f := l2tpFinding(t, 1)
 	res, err := Minimize(env, f, Options{Detect: detect.DefaultOptions()})

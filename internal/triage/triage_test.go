@@ -35,7 +35,7 @@ func l2tpReaderProg() *corpus.Prog {
 
 // l2tpFinding explores the fixture until the crash and returns the env and
 // the recorded finding, exactly as the pipeline would hand it to triage.
-func l2tpFinding(t *testing.T, seed int64) (*exec.Env, Finding) {
+func l2tpFinding(t testing.TB, seed int64) (*exec.Env, Finding) {
 	t.Helper()
 	env := exec.NewEnv(kernel.Config{Version: kernel.V5_12_RC3})
 	progs := []*corpus.Prog{l2tpWriterProg(), l2tpReaderProg()}
