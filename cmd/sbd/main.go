@@ -37,8 +37,9 @@
 //
 // The -queue listener serves every campaign's named queue on one TCP
 // endpoint (protocol v2 with the "queue" request field); campaign
-// executors lease their own jobs through it, and external sbexec workers
-// can join a campaign with -addr <queue> and the campaign's queue name.
+// executors lease their own jobs through it. The listener has no default
+// queue, so sbexec, which names none, cannot join an sbd campaign: an
+// unnamed request is answered with queue.ErrUnknownQueue.
 package main
 
 import (

@@ -13,6 +13,7 @@ import (
 	"snowboard/internal/core"
 	"snowboard/internal/obs"
 	"snowboard/internal/queue"
+	"snowboard/internal/store"
 )
 
 // testSpec is a campaign small enough to run many of concurrently.
@@ -422,5 +423,89 @@ func TestRestartResumesByteIdentical(t *testing.T) {
 	}
 	if !strings.Contains(strings.Join(ids, " "), sub.ID) {
 		t.Fatalf("resubmission forked campaign %s (known: %v)", sub.ID, ids)
+	}
+}
+
+func TestSubmitRejectsMalformedSpecs(t *testing.T) {
+	s := newServer(core.CampaignEnv{Registry: queue.NewRegistry(queue.Options{})})
+	t.Cleanup(s.env.Registry.Close)
+	valid, err := json.Marshal(testSpec("strict", 41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantID, err := testSpec("strict", 41).ID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		body string
+		code int
+	}{
+		{"valid", string(valid), http.StatusCreated},
+		{"over-size body", `{"name":"` + strings.Repeat("x", maxSpecBytes) + `"}`, http.StatusRequestEntityTooLarge},
+		{"unknown field", `{"seed":41,"test_budgt":6}`, http.StatusBadRequest},
+		{"trailing object", string(valid) + `{}`, http.StatusBadRequest},
+		{"trailing garbage", string(valid) + ` x`, http.StatusBadRequest},
+		{"over-limit budget", fmt.Sprintf(`{"test_budget":%d}`, core.MaxCampaignTestBudget+1), http.StatusBadRequest},
+		{"negative workers", `{"workers":-1}`, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		s.handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/campaigns", strings.NewReader(tc.body)))
+		if rec.Code != tc.code {
+			t.Errorf("%s: status %d (%s), want %d", tc.name, rec.Code, strings.TrimSpace(rec.Body.String()), tc.code)
+			continue
+		}
+		if tc.code == http.StatusCreated {
+			var sub submitResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil {
+				t.Fatal(err)
+			}
+			if sub.ID != wantID {
+				t.Errorf("valid spec got campaign %s, want %s", sub.ID, wantID)
+			}
+		}
+	}
+	if got := len(s.list()); got != 1 {
+		t.Fatalf("%d campaigns started, want only the valid one", got)
+	}
+	if err := s.waitAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestResumeSkipsInvalidManifest(t *testing.T) {
+	// A persisted manifest that no longer validates is logged and skipped;
+	// the server still starts and resumes every valid campaign.
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := testSpec("too-big", 51)
+	bad.Trials = core.MaxCampaignTrials + 1
+	payload, err := json.Marshal(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put(store.KindCampaign, payload); err != nil {
+		t.Fatal(err)
+	}
+	good, err := testSpec("fine", 52).WithDefaults().Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put(store.KindCampaign, good); err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(core.CampaignEnv{StateDir: dir, Registry: queue.NewRegistry(queue.Options{})})
+	t.Cleanup(s.env.Registry.Close)
+	n, err := s.resume()
+	if err != nil || n != 1 {
+		t.Fatalf("resume = %d, %v; want 1 campaign resumed", n, err)
+	}
+	if err := s.waitAll(); err != nil {
+		t.Fatal(err)
 	}
 }

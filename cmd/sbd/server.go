@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -60,12 +62,17 @@ func (s *server) resume() (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	n := 0
 	for _, spec := range specs {
+		// A manifest persisted under older rules may no longer validate;
+		// it must not keep the server, and every other campaign, down.
 		if _, _, err := s.submit(spec); err != nil {
-			return 0, err
+			obs.Diag.Printf("resume: skipping campaign %q: %v", spec.Name, err)
+			continue
 		}
+		n++
 	}
-	return len(specs), nil
+	return n, nil
 }
 
 func (s *server) get(id string) *core.Campaign {
@@ -122,9 +129,9 @@ func (s *server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, s.list())
 	case http.MethodPost:
-		var spec core.CampaignSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			http.Error(w, "bad campaign spec: "+err.Error(), http.StatusBadRequest)
+		spec, status, err := decodeSpec(w, r)
+		if err != nil {
+			http.Error(w, "bad campaign spec: "+err.Error(), status)
 			return
 		}
 		c, created, err := s.submit(spec)
@@ -140,6 +147,31 @@ func (s *server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
+}
+
+// maxSpecBytes bounds a POST /campaigns body; a spec is a few hundred
+// bytes.
+const maxSpecBytes = 64 << 10
+
+// decodeSpec reads exactly one campaign spec object from the request
+// body: unknown fields (a misspelt budget would silently become a
+// different campaign), trailing data and over-size bodies are rejected.
+// The returned status code applies when err is non-nil.
+func decodeSpec(w http.ResponseWriter, r *http.Request) (core.CampaignSpec, int, error) {
+	var spec core.CampaignSpec
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after the spec object")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return spec, http.StatusRequestEntityTooLarge, err
+	}
+	return spec, http.StatusBadRequest, err
 }
 
 func (s *server) handleCampaign(w http.ResponseWriter, r *http.Request) {

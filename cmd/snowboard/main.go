@@ -16,9 +16,8 @@
 // each triaged finding's minimized SBRB repro bundle out of that store to
 // dir/issue-NN.sbrb, for sbrepro -bundle.
 //
-// With -mode compare (or the legacy -compare flag), every generation
-// method of the paper's Table 3 runs on the same profiled corpus and one
-// row is printed per method.
+// With -mode compare, every generation method of the paper's Table 3 runs
+// on the same profiled corpus and one row is printed per method.
 //
 // Only the report is written to stdout (plain text, or JSON with -json);
 // every progress and diagnostic line goes to stderr. With -http, a live
@@ -54,7 +53,6 @@ func main() {
 		feedback = flag.Bool("feedback", false, "close the loop: allocate the test budget in rounds across PMC clusters by recent interleaving-segment yield, composing independent PMCs and mutating segment-discovering schedules")
 		rounds   = flag.Int("rounds", 0, "budget-allocation rounds for -feedback (0 = default 4)")
 		stateDir = flag.String("state", "", "artifact store directory: persist every stage's output and resume from unchanged stages on re-run")
-		compare  = flag.Bool("compare", false, "legacy alias for -mode compare")
 		jsonOut  = flag.Bool("json", false, "emit the final report as JSON on stdout")
 		httpAddr = flag.String("http", "", "serve live introspection (/metrics, /progress, /debug/vars, /debug/pprof) on this address")
 		progress = flag.Duration("progress", 10*time.Second, "interval between one-line progress reports on stderr (0 disables)")
@@ -124,7 +122,7 @@ func main() {
 	stopProgress := obs.StartProgress(*progress, diag)
 	defer stopProgress()
 
-	if *compare || *mode == "compare" {
+	if *mode == "compare" {
 		runComparison(opts, *verbose, *jsonOut)
 		return
 	}

@@ -74,8 +74,22 @@ func (s CampaignSpec) WithDefaults() CampaignSpec {
 	return s
 }
 
-// Validate rejects specs that cannot build Options. Call on the defaulted
-// spec.
+// Upper bounds on a submitted campaign's sizes. Specs arrive over the
+// network, so each knob is capped; the caps sit far above every campaign
+// the repository runs (its largest use 4000 fuzz executions, 400 tests,
+// 32 trials and 2 workers) but keep one request from claiming unbounded
+// CPU or memory on a shared server.
+const (
+	MaxCampaignFuzzBudget     = 1_000_000
+	MaxCampaignCorpusCap      = 100_000
+	MaxCampaignTestBudget     = 100_000
+	MaxCampaignTrials         = 10_000
+	MaxCampaignFeedbackRounds = 1_000
+	MaxCampaignWorkers        = 1_024
+)
+
+// Validate rejects specs that cannot build Options or exceed the campaign
+// size caps. Call on the defaulted spec.
 func (s CampaignSpec) Validate() error {
 	if _, ok := MethodByName(s.Method); !ok {
 		return fmt.Errorf("campaign: unknown method %q", s.Method)
@@ -83,6 +97,21 @@ func (s CampaignSpec) Validate() error {
 	if s.FuzzBudget <= 0 || s.TestBudget <= 0 || s.Trials <= 0 {
 		return fmt.Errorf("campaign: budgets must be positive (fuzz=%d tests=%d trials=%d)",
 			s.FuzzBudget, s.TestBudget, s.Trials)
+	}
+	for _, b := range []struct {
+		name   string
+		v, max int
+	}{
+		{"fuzz_budget", s.FuzzBudget, MaxCampaignFuzzBudget},
+		{"corpus_cap", s.CorpusCap, MaxCampaignCorpusCap},
+		{"test_budget", s.TestBudget, MaxCampaignTestBudget},
+		{"trials", s.Trials, MaxCampaignTrials},
+		{"feedback_rounds", s.FeedbackRounds, MaxCampaignFeedbackRounds},
+		{"workers", s.Workers, MaxCampaignWorkers},
+	} {
+		if b.v < 0 || b.v > b.max {
+			return fmt.Errorf("campaign: %s=%d outside [0, %d]", b.name, b.v, b.max)
+		}
 	}
 	return nil
 }
@@ -315,7 +344,17 @@ func StartCampaign(spec CampaignSpec, env CampaignEnv) (*Campaign, error) {
 		done:     make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	go c.run()
+	go func() {
+		// A panic on this goroutine (stage sequencing, stage-4 job
+		// execution) fails this campaign only; the other tenants keep
+		// running. Panics on parallel stage workers are not caught here.
+		defer func() {
+			if p := recover(); p != nil {
+				c.finish(nil, fmt.Errorf("campaign %s: panic: %v", c.ID, p))
+			}
+		}()
+		c.run()
+	}()
 	return c, nil
 }
 
@@ -685,43 +724,50 @@ func (c *Campaign) executeLoop(p *Pipeline, q *queue.Queue, lsr JobLeaser) {
 			return
 		}
 		c.gate()
-		if c.env.Turns != nil {
-			c.env.Turns.Acquire(c.ID)
-		}
-		for i := 0; i < slice; i++ {
-			ls, err := lsr.Lease()
-			if errors.Is(err, queue.ErrEmpty) || errors.Is(err, queue.ErrClosed) {
-				break
-			}
-			if err != nil {
-				obs.Diag.Printf("campaign %s: lease: %v", c.ID, err)
-				break
-			}
+		c.executeSlice(lsr, slice, func(ls queue.Lease) {
 			if c.env.Fault != nil && c.env.Fault(ls.Job.ID, ls.Attempt) {
 				// Simulated worker crash: walk away mid-lease. The reaper
 				// expires it and the job redelivers (or dead-letters) —
 				// never vanishes.
 				mFaults.Inc()
-				continue
+				return
 			}
 			res, err := ExecuteJob(lsr, x, ls, worker, resolve)
 			if err != nil {
-				continue
+				return
 			}
 			c.executed.Add(1)
 			if res.Exercised {
 				c.exercised.Add(1)
 			}
 			mExec.Inc()
-		}
-		if c.env.Turns != nil {
-			c.env.Turns.Release()
-		}
+		})
 		st = q.Stats()
 		if st.Pending == 0 && st.Leased > 0 {
 			// Stragglers: abandoned (Fault-injected) leases waiting for the
 			// reaper. Yield until they redeliver or dead-letter.
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+}
+
+// executeSlice takes one fair-scheduler turn and runs up to n leased jobs
+// through exec. The turn is released even if exec panics, so a failing
+// campaign never starves the others of the slot.
+func (c *Campaign) executeSlice(lsr JobLeaser, n int, exec func(queue.Lease)) {
+	if c.env.Turns != nil {
+		c.env.Turns.Acquire(c.ID)
+		defer c.env.Turns.Release()
+	}
+	for i := 0; i < n; i++ {
+		ls, err := lsr.Lease()
+		if errors.Is(err, queue.ErrEmpty) || errors.Is(err, queue.ErrClosed) {
+			return
+		}
+		if err != nil {
+			obs.Diag.Printf("campaign %s: lease: %v", c.ID, err)
+			return
+		}
+		exec(ls)
 	}
 }

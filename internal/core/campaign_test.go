@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -333,5 +334,39 @@ func TestCampaignFaultResultsAreDeterministic(t *testing.T) {
 	b, _ := json.Marshal(crashy)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("fault injection changed results:\n%s\nvs\n%s", a, b)
+	}
+}
+
+func TestCampaignPanicIsolated(t *testing.T) {
+	// Two tenants share one registry and a single scheduler slot. A panic
+	// in one campaign's executor fails that campaign alone; the slot it
+	// held is released, so the other campaign still runs to completion.
+	reg := queue.NewRegistry(queue.Options{})
+	defer reg.Close()
+	turns := NewTurnScheduler(1)
+	bad, err := StartCampaign(smallSpec("panics", 11), CampaignEnv{
+		Registry: reg,
+		Turns:    turns,
+		Fault:    func(jobID, attempt int) bool { panic("injected executor fault") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := StartCampaign(smallSpec("healthy", 12), CampaignEnv{Registry: reg, Turns: turns})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Campaign{bad, good} {
+		select {
+		case <-c.Done():
+		case <-time.After(time.Minute):
+			t.Fatalf("campaign %s never finished: %+v", c.Spec.Name, c.Status())
+		}
+	}
+	if st := bad.Status(); st.State != CampaignFailed || !strings.Contains(st.Error, "injected executor fault") {
+		t.Fatalf("panicking campaign: state %q error %q, want failed with the panic text", st.State, st.Error)
+	}
+	if r, err := good.Wait(); err != nil || r == nil || good.Status().State != CampaignDone {
+		t.Fatalf("healthy campaign: state %q err %v", good.Status().State, err)
 	}
 }

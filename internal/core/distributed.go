@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"snowboard/internal/detect"
@@ -65,7 +66,7 @@ func (l localLeaser) Close() error                     { return nil }
 
 // keepLease extends a lease at half-TTL intervals until stopped, so
 // explorations longer than the queue's lease timeout are not reaped out
-// from under a live executor.
+// from under a live executor. stop is idempotent.
 func keepLease(lsr JobLeaser, ls queue.Lease) (stop func()) {
 	ttl := time.Until(ls.Deadline)
 	if ttl < 20*time.Millisecond {
@@ -88,7 +89,8 @@ func keepLease(lsr JobLeaser, ls queue.Lease) (stop func()) {
 			}
 		}
 	}()
-	return func() { close(done) }
+	var once sync.Once
+	return func() { once.Do(func() { close(done) }) }
 }
 
 // NewJobExplorer returns the explorer queue jobs run on: default detector
@@ -125,6 +127,7 @@ func ExecuteJob(lsr JobLeaser, x *sched.Explorer, ls queue.Lease, worker string,
 		}
 	}
 	stop := keepLease(lsr, ls)
+	defer stop() // also when Explore panics
 	x.Seed = int64(job.ID)*1009 + 1
 	// Stitch this job's spans and events to the originating campaign's
 	// trace, so a distributed run's timeline reads end-to-end.

@@ -109,7 +109,7 @@ func (p *Pipeline) feedbackKeys(budget, rounds int) []store.Digest {
 			fmt.Sprintf("budget=%d", budget),
 			fmt.Sprintf("rounds=%d", rounds),
 			fmt.Sprintf("trials=%d", p.Opts.Trials),
-			fmt.Sprintf("detect=%t/%t/%t/%d", d.Console, d.Races, d.TornReads, d.RaceMode),
+			fmt.Sprintf("detect=%t/%t/%t", d.Console, d.Races, d.TornReads),
 			fmt.Sprintf("no-incidental=%t", p.Opts.DisableIncidental),
 			"prev="+prev.String(),
 			fmt.Sprintf("round=%d", i),

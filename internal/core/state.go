@@ -106,7 +106,7 @@ func (p *Pipeline) reportKey(corpusDigest, pmcDigest store.Digest, budget int) s
 		fmt.Sprintf("method=%d/%s/%s/%d", m.Kind, m.Name, m.Strategy.Name, m.Order),
 		fmt.Sprintf("budget=%d", budget),
 		fmt.Sprintf("trials=%d", p.Opts.Trials),
-		fmt.Sprintf("detect=%t/%t/%t/%d", d.Console, d.Races, d.TornReads, d.RaceMode),
+		fmt.Sprintf("detect=%t/%t/%t", d.Console, d.Races, d.TornReads),
 		fmt.Sprintf("no-incidental=%t", p.Opts.DisableIncidental),
 		// Resolved feedback parameters: a feedback run and a one-shot run
 		// spend the same budget through different schedulers, so their

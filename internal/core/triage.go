@@ -47,7 +47,7 @@ func (p *Pipeline) triageKey(id int, rec IssueRecord) (store.Digest, error) {
 		fmt.Sprintf("sbrb-format=%d", triage.FormatVersion),
 		fmt.Sprintf("version=%s", p.Opts.Version),
 		fmt.Sprintf("bug=%d", id),
-		fmt.Sprintf("detect=%t/%t/%t/%d", d.Console, d.Races, d.TornReads, d.RaceMode),
+		fmt.Sprintf("detect=%t/%t/%t", d.Console, d.Races, d.TornReads),
 		"finding="+store.Sum(blob).String(),
 	), nil
 }

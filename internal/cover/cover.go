@@ -30,7 +30,6 @@ func (p Pair) String() string {
 
 // Coverage accumulates alias instruction pairs across trials. It is safe
 // for concurrent use so distributed workers can share one accumulator.
-// It implements Metric.
 type Coverage struct {
 	mu    sync.Mutex
 	pairs map[Pair]int
@@ -86,10 +85,8 @@ func (c *Coverage) AddTrace(tr *trace.Trace) int {
 // Merge folds other's accumulated pairs into c (counts add) and returns
 // how many pairs were new to c. Per-worker accumulators merged in any
 // order yield the same totals as one shared accumulator. other is not
-// modified; merging an accumulator into itself is not supported. other
-// must be a *Coverage.
-func (c *Coverage) Merge(other Metric) int {
-	o := other.(*Coverage)
+// modified; merging an accumulator into itself is not supported.
+func (c *Coverage) Merge(o *Coverage) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	c.mu.Lock()
@@ -148,4 +145,20 @@ func (c *Coverage) Count(p Pair) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pairs[p]
+}
+
+// lastAccess tracks the most recent access per byte while walking a trace.
+type lastAccess struct {
+	ins    trace.Ins
+	thread int
+	write  bool
+}
+
+// clearLast resets a scratch last-access map for reuse across trials.
+func clearLast(m map[uint64]lastAccess) map[uint64]lastAccess {
+	if m == nil {
+		return make(map[uint64]lastAccess)
+	}
+	clear(m)
+	return m
 }

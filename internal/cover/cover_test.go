@@ -141,14 +141,7 @@ func TestPartialOverlapCovered(t *testing.T) {
 	}
 }
 
-// --- Metric interface and allocation guards ---
-
-// Both accumulators implement Metric; the pipeline and fuzz loop depend on
-// swapping them behind the interface.
-var (
-	_ Metric = (*Coverage)(nil)
-	_ Metric = (*Segments)(nil)
-)
+// --- Allocation guards ---
 
 // TestAddTraceSteadyStateAllocs pins the satellite fix for per-trial alloc
 // churn: once the scratch maps are warm, folding a trace whose pairs and
@@ -283,7 +276,7 @@ func TestSegmentOrderDistinguished(t *testing.T) {
 
 func TestSegmentsMergeCommutative(t *testing.T) {
 	// Merging per-worker accumulators in any order must yield the same
-	// covered set and counts — the Metric contract the parallel fold needs.
+	// covered set and counts — the contract the parallel fold needs.
 	traces := []*trace.Trace{
 		trOf(
 			tAcc(0, trace.Write, segAW, 0x100),

@@ -14,7 +14,7 @@ import (
 type Edge [2]trace.Ins
 
 // Edges accumulates sequential edge coverage. It is safe for concurrent
-// use and implements Metric. It replaces the redundant fuzz.Coverage.
+// use. It replaces the redundant fuzz.Coverage.
 type Edges struct {
 	mu    sync.Mutex
 	edges map[Edge]bool
@@ -45,10 +45,9 @@ func (c *Edges) AddTrace(tr *trace.Trace) int {
 	return fresh
 }
 
-// Merge folds other's edges in, reporting how many were new. Commutative
-// and associative. other must be an *Edges.
-func (c *Edges) Merge(other Metric) int {
-	o := other.(*Edges)
+// Merge folds o's edges in, reporting how many were new. Commutative
+// and associative.
+func (c *Edges) Merge(o *Edges) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	c.mu.Lock()

@@ -46,7 +46,7 @@ type SegmentCount struct {
 }
 
 // Segments accumulates interleaving segments across trials. It is safe
-// for concurrent use and implements Metric.
+// for concurrent use.
 type Segments struct {
 	mu   sync.Mutex
 	segs map[Segment]int
@@ -111,11 +111,10 @@ func (s *Segments) AddTrace(tr *trace.Trace) int {
 	return fresh
 }
 
-// Merge folds other's segments into s (counts add) and returns how many
+// Merge folds o's segments into s (counts add) and returns how many
 // were new to s. Commutative and associative on the covered set, like
-// Coverage.Merge. other must be a *Segments.
-func (s *Segments) Merge(other Metric) int {
-	o := other.(*Segments)
+// Coverage.Merge.
+func (s *Segments) Merge(o *Segments) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	s.mu.Lock()

@@ -1,12 +1,11 @@
 // Package detect implements the bug oracles of §3.1/§4.4.1: a kernel
-// console checker, a lockset-based data race detector (the DataCollider
+// console checker, a happens-before data race detector (the DataCollider
 // stand-in), hang/deadlock oracles, a torn-read witness, and the
 // known-issue classifier that maps findings onto the paper's Table 2.
 package detect
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"snowboard/internal/trace"
@@ -23,7 +22,7 @@ const (
 	KindFSError
 	// KindIOError is a block-layer I/O error on the console.
 	KindIOError
-	// KindDataRace is a lockset-detected data race.
+	// KindDataRace is a data race found by the happens-before detector.
 	KindDataRace
 	// KindDeadlock means all threads blocked.
 	KindDeadlock
@@ -125,87 +124,9 @@ func CheckConsole(lines []string, lastAccess map[int]trace.Ins) []Issue {
 	return out
 }
 
-// RaceReport is a deduplicated data race found by the lockset detector.
+// RaceReport is a deduplicated data race found by the race detector.
 type RaceReport struct {
 	Write, Read trace.Access
-}
-
-// FindRaces runs the Eraser-style lockset analysis over a trial trace:
-// two accesses from different threads to overlapping non-stack memory, at
-// least one a plain (unmarked, non-lock-word) write, holding no common
-// lock, constitute a data race. Pairs where both sides are marked
-// (READ_ONCE/WRITE_ONCE/rcu) are intentional concurrency and skipped,
-// mirroring KCSAN's defaults.
-func FindRaces(tr *trace.Trace) []RaceReport {
-	type key struct{ w, r trace.Ins }
-	seen := make(map[key]bool)
-	var out []RaceReport
-
-	n := tr.Len()
-	// Group by overlap via a write index bucketed on address.
-	writes := make(map[uint64][]int)
-	for i := 0; i < n; i++ {
-		if tr.IsWriteAt(i) && !tr.AtomicAt(i) && !tr.StackAt(i) {
-			writes[tr.AddrAt(i)] = append(writes[tr.AddrAt(i)], i)
-		}
-	}
-	consider := func(wi, oi int) {
-		w, o := tr.At(wi), tr.At(oi)
-		if w.Thread == o.Thread || !w.Overlaps(&o) {
-			return
-		}
-		if w.Marked && o.Marked {
-			return
-		}
-		if w.SharesLock(&o) {
-			return
-		}
-		// For a write/write conflict the second write fills the "read"
-		// side for keying purposes (both clobber the location).
-		k := key{w: w.Ins, r: o.Ins}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		out = append(out, RaceReport{Write: w, Read: o})
-	}
-	for i := 0; i < n; i++ {
-		if tr.AtomicAt(i) || tr.StackAt(i) {
-			continue
-		}
-		oAddr, oEnd := tr.AddrAt(i), tr.EndAt(i)
-		oWrite := tr.IsWriteAt(i)
-		lo := uint64(0)
-		if oAddr > 7 {
-			lo = oAddr - 7
-		}
-		for addr := lo; addr < oEnd; addr++ {
-			for _, wi := range writes[addr] {
-				if wi == i {
-					continue
-				}
-				// Deduplicate write/write pairs: only report with the
-				// earlier access as the "write" side.
-				if oWrite && wi > i {
-					continue
-				}
-				consider(wi, i)
-			}
-		}
-	}
-	// Sort key: (write Ins, read Ins). The `seen` map dedups exactly this
-	// pair, so the comparator is total over the slice today. SliceStable
-	// keeps the output deterministic even if that invariant ever weakens:
-	// ties would then fall back to append order, which follows the trace
-	// scan and is itself deterministic — never the sorter's internal
-	// permutation.
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Write.Ins != out[j].Write.Ins {
-			return out[i].Write.Ins < out[j].Write.Ins
-		}
-		return out[i].Read.Ins < out[j].Read.Ins
-	})
-	return out
 }
 
 // TornRead is a witnessed value corruption: a multi-part read (same

@@ -16,8 +16,8 @@ import (
 //
 // Two accesses race when they conflict (overlap, ≥1 write, not both
 // marked, neither a lock word nor a stack slot) and neither happens before
-// the other. Unlike the pure lockset analysis (FindRaces), this does not
-// flag the init-before-publish pattern, because publication orders the
+// the other. Unlike an Eraser-style lockset analysis, this does not flag
+// the init-before-publish pattern, because publication orders the
 // initializing stores before every reader that dereferences the published
 // pointer.
 

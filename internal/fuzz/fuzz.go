@@ -246,5 +246,4 @@ func (g *Generator) mutateOnce(p *corpus.Prog) *corpus.Prog {
 }
 
 // The edge-coverage accumulator the fuzz loop selects tests by lives in
-// internal/cover (cover.Edges) behind the cover.Metric interface, shared
-// with the concurrency metrics.
+// internal/cover (cover.Edges), next to the concurrency metrics.

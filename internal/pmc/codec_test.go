@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"snowboard/internal/trace"
@@ -28,14 +27,6 @@ func randomBlock(rng *rand.Rand, n int) trace.Block {
 		}
 		if rng.Intn(2) == 0 {
 			a.Kind = trace.Write
-		}
-		if rng.Intn(5) == 0 {
-			locks := make([]uint64, 1+rng.Intn(3))
-			for j := range locks {
-				locks[j] = rng.Uint64() >> 16
-			}
-			sort.Slice(locks, func(x, y int) bool { return locks[x] < locks[y] })
-			a.Locks = trace.InternLocks(locks)
 		}
 		out.Append(a)
 	}

@@ -7,10 +7,11 @@ import (
 )
 
 // ErrUnknownQueue is returned by named-queue operations addressing a queue
-// the registry has never opened. Names are opened explicitly (by the
-// campaign control plane when a campaign is admitted), so a typo in a
-// worker's -queue flag fails loudly instead of silently creating an empty
-// queue nobody feeds.
+// the registry has never opened, and by unnamed requests to a server that
+// has no default queue. Names are opened explicitly (by the campaign
+// control plane when a campaign is admitted), so a client naming the wrong
+// queue (queue.DialOptions.Queue) fails loudly instead of silently
+// creating an empty queue nobody feeds.
 var ErrUnknownQueue = errors.New("queue: unknown queue")
 
 // Registry is a set of named queues sharing one delivery configuration,

@@ -46,12 +46,6 @@ func (x *Explorer) ExploreTriple(tt TripleTest) Outcome {
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(x.Seed + int64(trial)))
 		policy := NewSnowboardPolicy(rng, currentPMCs, flags)
-		if x.PerformedDenom > 0 {
-			policy.PerformedDenom = x.PerformedDenom
-		}
-		if x.FlagDenom > 0 {
-			policy.FlagDenom = x.FlagDenom
-		}
 		res := x.Env.RunMany(progs, policy, &tr)
 		x.Env.M.SetTrace(nil)
 		out.Trials = trial + 1

@@ -7,6 +7,7 @@ import (
 
 	"snowboard/internal/corpus"
 	"snowboard/internal/pmc"
+	"snowboard/internal/trace"
 )
 
 // FuzzStoreDecode throws arbitrary bytes at every artifact decoder the
@@ -25,7 +26,18 @@ func FuzzStoreDecode(f *testing.F) {
 	if err := corpus.EncodeCorpus(&corpusBuf, c); err != nil {
 		f.Fatal(err)
 	}
-	profiles := []pmc.Profile{{TestID: 0, DFLeader: map[int]bool{}}}
+	// One empty profile and one with accesses, so the trace record decoder
+	// (every flag bit, a thread id, address deltas both ways) is seeded too.
+	profiles := []pmc.Profile{
+		{TestID: 0, DFLeader: map[int]bool{}},
+		{TestID: 3, Accesses: trace.BlockOf(
+			trace.Access{Thread: 0, Ins: 0x11, Kind: trace.Write, Addr: 0x2000, Size: 8, Val: 0xdead, Marked: true},
+			trace.Access{Thread: 1, Ins: 0x12, Kind: trace.Read, Addr: 0x1ff8, Size: 4, Val: 7, RCU: true},
+			trace.Access{Thread: 1, Ins: 0x13, Kind: trace.Read, Addr: 0x1ff8, Size: 4, Val: 7},
+			trace.Access{Thread: 2, Ins: 0x14, Kind: trace.Write, Addr: 0x40, Size: 8, Val: 1, Atomic: true},
+			trace.Access{Thread: 2, Ins: 0x15, Kind: trace.Write, Addr: 0x7ff0, Size: 1, Val: 0xff, Stack: true},
+		), DFLeader: map[int]bool{1: true}},
+	}
 	var profBuf bytes.Buffer
 	if err := pmc.EncodeProfiles(&profBuf, profiles); err != nil {
 		f.Fatal(err)

@@ -24,21 +24,19 @@ func (k Kind) String() string {
 // carries exactly the features the paper's profiler records (§4.1: address
 // range accessed, type of access, value read/written, and instruction
 // address) plus the bookkeeping the detectors need (thread, sequence number,
-// lockset, RCU section, atomicity, stack membership). Access values are
-// comparable: the lockset is an interned id, not a shared slice.
+// RCU section, atomicity, stack membership).
 type Access struct {
-	Thread int     // kernel thread (vCPU) that performed the access
-	Seq    int     // position in the trial's global access order
-	Ins    Ins     // static access site
-	Kind   Kind    // Read or Write
-	Addr   uint64  // start of the accessed range
-	Size   uint8   // range length in bytes (1..8)
-	Val    uint64  // value read or written, little-endian, low Size bytes
-	Atomic bool    // lock-word access issued by a synchronization primitive
-	Marked bool    // annotated access (READ_ONCE/WRITE_ONCE/rcu_dereference/rcu_assign_pointer)
-	Stack  bool    // falls within the accessing thread's kernel stack
-	RCU    bool    // performed inside an RCU read-side critical section
-	Locks  LockSet // interned set of lock addresses held during the access
+	Thread int    // kernel thread (vCPU) that performed the access
+	Seq    int    // position in the trial's global access order
+	Ins    Ins    // static access site
+	Kind   Kind   // Read or Write
+	Addr   uint64 // start of the accessed range
+	Size   uint8  // range length in bytes (1..8)
+	Val    uint64 // value read or written, little-endian, low Size bytes
+	Atomic bool   // lock-word access issued by a synchronization primitive
+	Marked bool   // annotated access (READ_ONCE/WRITE_ONCE/rcu_dereference/rcu_assign_pointer)
+	Stack  bool   // falls within the accessing thread's kernel stack
+	RCU    bool   // performed inside an RCU read-side critical section
 }
 
 // End returns the first address past the accessed range.
@@ -87,12 +85,6 @@ func projectVal(addr, val, lo, hi uint64) uint64 {
 		v &= (1 << width) - 1
 	}
 	return v
-}
-
-// SharesLock reports whether the two accesses were performed while holding
-// at least one common lock.
-func (a *Access) SharesLock(b *Access) bool {
-	return a.Locks.SharesWith(b.Locks)
 }
 
 // String renders the access in the compact form used by reports and tests.

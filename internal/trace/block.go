@@ -15,7 +15,6 @@ type Block struct {
 	addrs []uint64
 	vals  []uint64
 	meta  []uint32
-	locks []LockSet
 }
 
 // Trace is the ordered sequence of accesses collected during one execution,
@@ -63,7 +62,6 @@ func (b *Block) Append(a Access) {
 	b.addrs = append(b.addrs, a.Addr)
 	b.vals = append(b.vals, a.Val)
 	b.meta = append(b.meta, packMeta(a.Thread, a.Kind, a.Size, a.Atomic, a.Marked, a.Stack, a.RCU))
-	b.locks = append(b.locks, a.Locks)
 }
 
 // Len returns the number of recorded accesses.
@@ -76,7 +74,6 @@ func (b *Block) Reset() {
 	b.addrs = b.addrs[:0]
 	b.vals = b.vals[:0]
 	b.meta = b.meta[:0]
-	b.locks = b.locks[:0]
 }
 
 // At materializes the i-th access as a row value (Seq = i).
@@ -94,7 +91,6 @@ func (b *Block) At(i int) Access {
 		Marked: m&metaMarked != 0,
 		Stack:  m&metaStack != 0,
 		RCU:    m&metaRCU != 0,
-		Locks:  b.locks[i],
 	}
 }
 
@@ -144,9 +140,6 @@ func (b *Block) StackAt(i int) bool { return b.meta[i]&metaStack != 0 }
 
 // RCUAt reports whether the i-th access ran inside an RCU read section.
 func (b *Block) RCUAt(i int) bool { return b.meta[i]&metaRCU != 0 }
-
-// LocksAt returns the interned lockset held during the i-th access.
-func (b *Block) LocksAt(i int) LockSet { return b.locks[i] }
 
 // OverlapsAt reports whether accesses i and j touch at least one common byte.
 func (b *Block) OverlapsAt(i, j int) bool {

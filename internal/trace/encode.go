@@ -22,20 +22,19 @@ import (
 // Each record:
 //
 //	flags u8            bit0 kind=write, bit1 atomic, bit2 marked,
-//	                    bit3 stack, bit4 rcu, bit5 has-locks
+//	                    bit3 stack, bit4 rcu; other bits are malformed
 //	thread uvarint
 //	ins    uvarint      (absolute; ids are hash-derived, deltas don't help)
 //	addr   svarint      (delta from previous record's addr)
 //	size   u8
 //	val    uvarint
-//	locks  uvarint n, then n svarint deltas   (only when bit5 set)
 //
-// Locksets travel as explicit address lists: the in-memory interned
-// LockSet ids are process-local and never serialized.
+// Version 1 records could carry a held-lock list behind flag bit 5;
+// version 2 dropped it, so such a record is rejected rather than misread.
 
 const (
 	encMagic   = "SBTR"
-	encVersion = 1
+	encVersion = 2
 )
 
 // CodecVersion identifies the trace record encoding, including the bare
@@ -52,7 +51,8 @@ const (
 	fMarked
 	fStack
 	fRCU
-	fLocks
+
+	fKnown = fKindWrite | fAtomic | fMarked | fStack | fRCU
 )
 
 // Encode writes the block's accesses to w in the compact format.
@@ -92,7 +92,6 @@ func WriteBlock(bw *bufio.Writer, b *Block) error {
 	prevAddr := uint64(0)
 	for i := 0; i < b.Len(); i++ {
 		m := b.meta[i]
-		locks := b.locks[i].view()
 		var flags byte
 		if m&metaWrite != 0 {
 			flags |= fKindWrite
@@ -108,9 +107,6 @@ func WriteBlock(bw *bufio.Writer, b *Block) error {
 		}
 		if m&metaRCU != 0 {
 			flags |= fRCU
-		}
-		if len(locks) > 0 {
-			flags |= fLocks
 		}
 		if err := bw.WriteByte(flags); err != nil {
 			return err
@@ -130,18 +126,6 @@ func WriteBlock(bw *bufio.Writer, b *Block) error {
 		}
 		if err := putU(b.vals[i]); err != nil {
 			return err
-		}
-		if len(locks) > 0 {
-			if err := putU(uint64(len(locks))); err != nil {
-				return err
-			}
-			prevLock := uint64(0)
-			for _, l := range locks {
-				if err := putS(int64(l) - int64(prevLock)); err != nil {
-					return err
-				}
-				prevLock = l
-			}
 		}
 	}
 	return nil
@@ -166,8 +150,7 @@ func Decode(r io.Reader) (Block, error) {
 
 // ReadBlock parses one bare record stream written by WriteBlock, leaving br
 // positioned after the block's last record. Decoding errors never panic;
-// any malformed input yields an error wrapping ErrBadTrace. Decoded
-// locksets are interned.
+// any malformed input yields an error wrapping ErrBadTrace.
 func ReadBlock(br *bufio.Reader) (Block, error) {
 	var out Block
 	count, err := binary.ReadUvarint(br)
@@ -188,13 +171,14 @@ func ReadBlock(br *bufio.Reader) (Block, error) {
 	out.addrs = make([]uint64, 0, capHint)
 	out.vals = make([]uint64, 0, capHint)
 	out.meta = make([]uint32, 0, capHint)
-	out.locks = make([]LockSet, 0, capHint)
 	prevAddr := uint64(0)
-	var lockBuf []uint64
 	for i := uint64(0); i < count; i++ {
 		flags, err := br.ReadByte()
 		if err != nil {
 			return out, fmt.Errorf("%w: flags: %v", ErrBadTrace, err)
+		}
+		if flags&^fKnown != 0 {
+			return out, fmt.Errorf("%w: unknown flags %#x", ErrBadTrace, flags)
 		}
 		th, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -228,30 +212,10 @@ func ReadBlock(br *bufio.Reader) (Block, error) {
 		if flags&fKindWrite != 0 {
 			kind = Write
 		}
-		var ls LockSet
-		if flags&fLocks != 0 {
-			n, err := binary.ReadUvarint(br)
-			if err != nil || n > 64 {
-				return out, fmt.Errorf("%w: lock count", ErrBadTrace)
-			}
-			lockBuf = lockBuf[:0]
-			prevLock := uint64(0)
-			for j := uint64(0); j < n; j++ {
-				d, err := binary.ReadVarint(br)
-				if err != nil {
-					return out, fmt.Errorf("%w: lock: %v", ErrBadTrace, err)
-				}
-				l := uint64(int64(prevLock) + d)
-				lockBuf = append(lockBuf, l)
-				prevLock = l
-			}
-			ls = InternLocks(lockBuf)
-		}
 		out.ins = append(out.ins, Ins(ins))
 		out.addrs = append(out.addrs, addr)
 		out.vals = append(out.vals, val)
 		out.meta = append(out.meta, packMeta(int(th), kind, size, flags&fAtomic != 0, flags&fMarked != 0, flags&fStack != 0, flags&fRCU != 0))
-		out.locks = append(out.locks, ls)
 	}
 	return out, nil
 }

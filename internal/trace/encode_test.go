@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -24,11 +26,6 @@ func randomBlock(rng *rand.Rand, n int) Block {
 		if a.Kind = Read; rng.Intn(2) == 0 {
 			a.Kind = Write
 		}
-		var locks []uint64
-		for j := 0; j < rng.Intn(3); j++ {
-			locks = append(locks, uint64(0x100*(j+1)))
-		}
-		a.Locks = InternLocks(locks)
 		out.Append(a)
 	}
 	return out
@@ -62,9 +59,10 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		[]byte("XXXX"),
-		[]byte("SBTR\x02"),     // wrong version
-		[]byte("SBTR\x01\x05"), // truncated records
-		[]byte("SBTR\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f"), // absurd count
+		[]byte("SBTR\x01\x00"), // old version
+		[]byte("SBTR\x03\x00"), // unknown version
+		[]byte("SBTR\x02\x05"), // truncated records
+		[]byte("SBTR\x02\xff\xff\xff\xff\xff\xff\xff\xff\x7f"), // absurd count
 	}
 	for i, c := range cases {
 		if _, err := Decode(bytes.NewReader(c)); err == nil {
@@ -92,7 +90,7 @@ func TestDecodeRejectsHugeThread(t *testing.T) {
 	// A thread id above the 16-bit packed-meta limit must be rejected, not
 	// silently truncated into another thread's identity.
 	var buf bytes.Buffer
-	buf.WriteString("SBTR\x01")
+	buf.WriteString("SBTR\x02")
 	buf.WriteByte(1)                    // count
 	buf.WriteByte(0)                    // flags
 	buf.Write([]byte{0x80, 0x80, 0x08}) // thread uvarint = 0x20000
@@ -130,35 +128,26 @@ func TestEncodeCompactness(t *testing.T) {
 	}
 }
 
-// TestLockSetAliasingImmunity proves the old "shared slice, do not mutate"
-// footgun on Access.Locks is gone by construction: mutating the slice a
-// decoded trace hands back cannot corrupt sibling accesses or the intern
-// table, because Addrs always returns a fresh copy.
-func TestLockSetAliasingImmunity(t *testing.T) {
-	locks := []uint64{0x100, 0x200}
-	accs := BlockOf(
-		Access{Addr: 0x10, Size: 8, Locks: InternLocks(locks)},
-		Access{Addr: 0x20, Size: 8, Locks: InternLocks(locks)},
-	)
-	var buf bytes.Buffer
-	if err := Encode(&buf, &accs); err != nil {
-		t.Fatal(err)
+// TestReadBlockVersion1Records pins the bare record stream across the
+// version 1 -> 2 change: a record without a held-lock list decodes to the
+// same access, and one carrying a list (flag bit 5) is rejected instead of
+// misread.
+func TestReadBlockVersion1Records(t *testing.T) {
+	record := func(flags byte, tail ...byte) []byte {
+		// count=1 | flags | thread=1 | ins=0x21 | addr delta=+0x40 | size=4 | val=7
+		return append([]byte{1, flags, 1, 0x21, 0x80, 0x01, 4, 7}, tail...)
 	}
-	dec, err := Decode(&buf)
+	b, err := ReadBlock(bufio.NewReader(bytes.NewReader(record(fKindWrite | fMarked))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := dec.At(0).Locks.Addrs()
-	got[0] = 0xdead
-	got[1] = 0xbeef
-	for i := 0; i < dec.Len(); i++ {
-		if a := dec.At(i).Locks.Addrs(); a[0] != 0x100 || a[1] != 0x200 {
-			t.Fatalf("sibling access %d lockset corrupted: %#x", i, a)
-		}
+	want := Access{Thread: 1, Ins: 0x21, Kind: Write, Addr: 0x40, Size: 4, Val: 7, Marked: true}
+	if b.Len() != 1 || b.At(0) != want {
+		t.Fatalf("v1 record without locks: got %+v want %+v", b.Accesses(), want)
 	}
-	// The intern table itself is untouched: a fresh interning of the same
-	// set still resolves to the original addresses.
-	if a := InternLocks(locks).Addrs(); a[0] != 0x100 || a[1] != 0x200 {
-		t.Fatalf("intern table corrupted: %#x", a)
+	// Bit 5 followed by a one-entry lock list (delta 0x100).
+	withLocks := record(fKindWrite|1<<5, 1, 0x80, 0x04)
+	if _, err := ReadBlock(bufio.NewReader(bytes.NewReader(withLocks))); !errors.Is(err, ErrBadTrace) {
+		t.Fatalf("v1 record with a lock list: err = %v, want ErrBadTrace", err)
 	}
 }

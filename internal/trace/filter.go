@@ -59,7 +59,6 @@ func (f Filter) Apply(tr *Trace) Block {
 		out.addrs = append(out.addrs, tr.addrs[i])
 		out.vals = append(out.vals, tr.vals[i])
 		out.meta = append(out.meta, m)
-		out.locks = append(out.locks, tr.locks[i])
 		if f.MaxPerProfile > 0 && out.Len() >= f.MaxPerProfile {
 			break
 		}

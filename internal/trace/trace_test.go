@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -145,50 +144,6 @@ func TestProjectValAgainstBytes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSharesLock(t *testing.T) {
-	a := Access{Locks: InternLocks([]uint64{1, 5, 9})}
-	b := Access{Locks: InternLocks([]uint64{2, 5})}
-	c := Access{Locks: InternLocks([]uint64{3, 4})}
-	var d Access
-	if !a.SharesLock(&b) {
-		t.Fatal("shared lock 5 not found")
-	}
-	if a.SharesLock(&c) || a.SharesLock(&d) || d.SharesLock(&d) {
-		t.Fatal("phantom shared lock")
-	}
-}
-
-// TestSharesLockAgainstNaive is a property test against set intersection.
-func TestSharesLockAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 1000; i++ {
-		mk := func() []uint64 {
-			n := rng.Intn(5)
-			out := make([]uint64, 0, n)
-			cur := uint64(0)
-			for j := 0; j < n; j++ {
-				cur += uint64(rng.Intn(4) + 1)
-				out = append(out, cur)
-			}
-			return out
-		}
-		la, lb := mk(), mk()
-		a := Access{Locks: InternLocks(la)}
-		b := Access{Locks: InternLocks(lb)}
-		want := false
-		for _, x := range la {
-			for _, y := range lb {
-				if x == y {
-					want = true
-				}
-			}
-		}
-		if got := a.SharesLock(&b); got != want {
-			t.Fatalf("SharesLock(%v,%v)=%v want %v", la, lb, got, want)
-		}
 	}
 }
 

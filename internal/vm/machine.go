@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"snowboard/internal/trace"
 )
@@ -57,7 +58,7 @@ type Machine struct {
 	threads []*Thread
 	trace   *trace.Trace
 
-	lockHolder  map[Addr]*Thread
+	lockHolder  map[Addr]*Thread // held lock word -> holder; the one record of held locks
 	lockWaiters map[Addr][]*Thread
 	rcuReaders  int
 	rcuWaiters  []*Thread
@@ -186,7 +187,14 @@ func (m *Machine) step(t *Thread) Event {
 // thread so the sibling thread can still run (mirrors a crashed CPU being
 // fenced off; without this every fault would cascade into a deadlock).
 func (m *Machine) releaseDead(t *Thread) {
-	for _, l := range t.locks.Addrs() {
+	var held []Addr
+	for l, h := range m.lockHolder {
+		if h == t {
+			held = append(held, l)
+		}
+	}
+	slices.Sort(held)
+	for _, l := range held {
 		m.Mem.Write(l, 8, 0)
 		delete(m.lockHolder, l)
 		for _, w := range m.lockWaiters[l] {
@@ -197,7 +205,6 @@ func (m *Machine) releaseDead(t *Thread) {
 		}
 		delete(m.lockWaiters, l)
 	}
-	t.locks = 0
 	if t.rcuDepth > 0 {
 		m.rcuReaders -= t.rcuDepth
 		t.rcuDepth = 0

@@ -76,7 +76,6 @@ type Thread struct {
 	stackLo Addr // kernel stack region [stackLo, stackLo+trace.StackSize)
 	sp      Addr // current stack pointer (grows down)
 
-	locks    trace.LockSet // interned set of lock addresses held
 	rcuDepth int
 
 	faultMsg string
@@ -142,7 +141,6 @@ func (t *Thread) record(ins trace.Ins, kind trace.Kind, addr Addr, size int, val
 		Marked: marked,
 		Stack:  stack,
 		RCU:    t.rcuDepth > 0,
-		Locks:  t.locks,
 	}
 	if m.trace != nil {
 		m.trace.Append(a)
@@ -245,17 +243,9 @@ func (t *Thread) SP() Addr { return t.sp }
 
 // --- Locks ---
 
-func (t *Thread) holdLock(addr Addr) {
-	t.locks = t.locks.With(addr)
-}
-
-func (t *Thread) dropLock(addr Addr) {
-	t.locks = t.locks.Without(addr)
-}
-
 // HoldsLock reports whether the thread currently holds the lock at addr.
 func (t *Thread) HoldsLock(addr Addr) bool {
-	return t.locks.Has(addr)
+	return t.m.lockHolder[addr] == t
 }
 
 // Lock acquires the lock word at addr (spinlock and mutex behave identically
@@ -270,7 +260,6 @@ func (t *Thread) Lock(ins trace.Ins, addr Addr) {
 		t.checkRange(addr, 8)
 		if t.m.Mem.Read(addr, 8) == 0 {
 			t.m.Mem.Write(addr, 8, uint64(t.ID)+1)
-			t.holdLock(addr)
 			t.m.lockHolder[addr] = t
 			t.record(ins, trace.Write, addr, 8, uint64(t.ID)+1, true, false)
 			return
@@ -289,7 +278,6 @@ func (t *Thread) Unlock(ins trace.Ins, addr Addr) {
 		t.Fault("BUG: unlock of lock %#x not held (%s)", addr, ins.Name())
 	}
 	t.m.Mem.Write(addr, 8, 0)
-	t.dropLock(addr)
 	delete(t.m.lockHolder, addr)
 	for _, w := range t.m.lockWaiters[addr] {
 		if w.state == BlockedLock && w.waitOn == addr {
@@ -312,7 +300,6 @@ func (t *Thread) TryLock(ins trace.Ins, addr Addr) bool {
 		return false
 	}
 	t.m.Mem.Write(addr, 8, uint64(t.ID)+1)
-	t.holdLock(addr)
 	t.m.lockHolder[addr] = t
 	t.record(ins, trace.Write, addr, 8, uint64(t.ID)+1, true, false)
 	return true
